@@ -42,10 +42,10 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
     run = config.run
     if args.seed is not None:
         run = dataclasses.replace(run, seed=args.seed)
-    if args.workers is not None:
+    if getattr(args, "workers", None) is not None:
         run = dataclasses.replace(run, workers=args.workers)
     config = dataclasses.replace(config, run=run)
-    if args.offsets is not None:
+    if getattr(args, "offsets", None) is not None:
         offsets = tuple(int(tok) for tok in args.offsets.split(",") if tok != "")
         config = dataclasses.replace(
             config, patches=dataclasses.replace(config.patches, offsets=offsets)
@@ -114,13 +114,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
+def _detect_split(args, ensemble: bool) -> int:
+    """Shared body of `run` and `ensemble`: detect on the test split, write
+    detections and evaluation.csv, print the summary line."""
     config = _load(args)
     if args.mode is not None:
         config = dataclasses.replace(
             config, predictor=dataclasses.replace(config.predictor, mode=args.mode)
-        )
-    config.validate()
+        ).validate()
     codec = make_codec(config)
     if config.predictor.mode == "trained" and args.model is None:
         raise ConfigError("trained mode needs --model")
@@ -130,45 +131,30 @@ def cmd_run(args) -> int:
         raise ConfigError(f"{args.manifest}: empty test split")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results, failures = run_detection(
-        config, codec, images, model=model, collect_diagnostics=args.diagnostics
-    )
+    if ensemble:
+        results, _, failures = ensemble_detection(config, codec, images, model=model)
+        summary = f"merged {len(config.patches.offsets)} offsets: "
+    else:
+        results, failures = run_detection(
+            config, codec, images, model=model, collect_diagnostics=args.diagnostics
+        )
+        summary = ""
+        if args.diagnostics:
+            _write_diagnostics(results, out)
     precision, recall, f1 = _write_results(results, out, config.evaluation.macro)
-    if args.diagnostics:
-        _write_diagnostics(results, out)
-    print(f"precision {precision:.4f} recall {recall:.4f} f1 {f1:.4f}")
+    print(f"{summary}precision {precision:.4f} recall {recall:.4f} f1 {f1:.4f}")
     if failures:
         print(f"{failures} image(s) failed; see the log", file=sys.stderr)
         return 1
     return 0
+
+
+def cmd_run(args) -> int:
+    return _detect_split(args, ensemble=False)
 
 
 def cmd_ensemble(args) -> int:
-    config = _load(args)
-    if args.mode is not None:
-        config = dataclasses.replace(
-            config, predictor=dataclasses.replace(config.predictor, mode=args.mode)
-        )
-    config.validate()
-    codec = make_codec(config)
-    if config.predictor.mode == "trained" and args.model is None:
-        raise ConfigError("trained mode needs --model")
-    model = load_model(args.model) if config.predictor.mode == "trained" else None
-    images = load_split(args.manifest, "test")
-    if not images:
-        raise ConfigError(f"{args.manifest}: empty test split")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    merged, _, failures = ensemble_detection(config, codec, images, model=model)
-    precision, recall, f1 = _write_results(merged, out, config.evaluation.macro)
-    print(
-        f"merged {len(config.patches.offsets)} offsets: "
-        f"precision {precision:.4f} recall {recall:.4f} f1 {f1:.4f}"
-    )
-    if failures:
-        print(f"{failures} image(s) failed; see the log", file=sys.stderr)
-        return 1
-    return 0
+    return _detect_split(args, ensemble=True)
 
 
 def cmd_ripcheck(args) -> int:
@@ -202,10 +188,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="pipeline config YAML")
     common.add_argument("--seed", type=int, default=None, help="override run.seed")
-    common.add_argument("--workers", type=int, default=None, help="override run.workers")
-    common.add_argument("--offsets", default=None, help="override patch offsets, e.g. 0,20,40")
-    common.add_argument("--diagnostics", action="store_true",
-                        help="dump per-axis candidates and solver traces")
+
+    detect = argparse.ArgumentParser(add_help=False, parents=[common])
+    detect.add_argument("--manifest", required=True)
+    detect.add_argument("--out", required=True)
+    detect.add_argument("--workers", type=int, default=None, help="override run.workers")
+    detect.add_argument("--offsets", default=None, help="override patch offsets, e.g. 0,20,40")
+    detect.add_argument("--mode", choices=("oracle", "trained"), default=None)
+    detect.add_argument("--model", default=None, help="model file for trained mode")
 
     parser = argparse.ArgumentParser(
         prog="csdetect",
@@ -222,19 +212,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("run", parents=[common], help="detect and evaluate the test split")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("oracle", "trained"), default=None)
-    p.add_argument("--model", default=None, help="model file for trained mode")
+    p = sub.add_parser("run", parents=[detect], help="detect and evaluate the test split")
+    p.add_argument("--diagnostics", action="store_true",
+                   help="dump per-axis candidates and solver traces")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("ensemble", parents=[common],
+    p = sub.add_parser("ensemble", parents=[detect],
                        help="run all offsets and merge detections")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("oracle", "trained"), default=None)
-    p.add_argument("--model", default=None)
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("ripcheck", parents=[common], help="near-isometry report")

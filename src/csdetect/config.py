@@ -12,19 +12,21 @@ from dataclasses import asdict, dataclass, field
 import yaml
 
 from .core import ImageGrid
+from .decoder import DecodeParams
+from .recovery import RecoveryParams
 
 __all__ = [
     "ConfigError",
     "GridConfig",
     "EncoderConfig",
     "RecoveryConfig",
-    "DecodeConfig",
     "PredictorConfig",
     "SynthConfig",
     "PatchConfig",
     "EvaluationConfig",
     "RunConfig",
     "PipelineConfig",
+    "recovery_params",
     "default_config",
     "load_config",
     "save_config",
@@ -47,7 +49,6 @@ class EncoderConfig:
     axes: int = 27
     measurements: int = 112
     margin: float | None = None  # None: 5% of the patch diagonal
-    row_constant: float = 4.0
 
 
 @dataclass(frozen=True)
@@ -58,16 +59,6 @@ class RecoveryConfig:
     noise_budget_frac: float = 0.1
     max_iterations: int = 2000
     shrinkage_step: float = 1.0
-
-
-@dataclass(frozen=True)
-class DecodeConfig:
-    scheme1_threshold: float = 0.5
-    bandwidth: float | None = None
-    min_support: int | None = None
-    noise_margin: float | None = None
-    merge_radius: float = 9.0
-    merge_min_count: int = 6
 
 
 @dataclass(frozen=True)
@@ -119,7 +110,7 @@ class PipelineConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
-    decode: DecodeConfig = field(default_factory=DecodeConfig)
+    decode: DecodeParams = field(default_factory=DecodeParams)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
     patches: PatchConfig = field(default_factory=PatchConfig)
@@ -139,6 +130,10 @@ class PipelineConfig:
             raise ConfigError("encoder.margin must be > 0 when given")
         if self.recovery.solver not in ("bp", "omp"):
             raise ConfigError(f"recovery.solver must be bp or omp, got {self.recovery.solver!r}")
+        try:
+            recovery_params(self)
+        except ValueError as exc:
+            raise ConfigError(f"section 'recovery': {exc}") from exc
         if patches.size < 1:
             raise ConfigError("patches.size must be >= 1")
         if not patches.offsets:
@@ -161,6 +156,8 @@ class PipelineConfig:
             raise ConfigError("decode.min_support exceeds encoder.axes")
         if self.predictor.mode not in ("oracle", "trained"):
             raise ConfigError(f"predictor.mode must be oracle or trained, got {self.predictor.mode!r}")
+        if self.predictor.sigma_rel < 0:
+            raise ConfigError("predictor.sigma_rel must be >= 0")
         if self.evaluation.rho <= 0:
             raise ConfigError("evaluation.rho must be > 0")
         if self.run.workers < 1:
@@ -168,11 +165,24 @@ class PipelineConfig:
         return self
 
 
+def recovery_params(config: PipelineConfig) -> RecoveryParams:
+    """The solver controls of the `recovery` section; `solver` itself picks
+    the routine and is not one of them."""
+    rec = config.recovery
+    return RecoveryParams(
+        max_sparsity=rec.max_sparsity,
+        residual_tol=rec.residual_tol,
+        noise_budget_frac=rec.noise_budget_frac,
+        max_iterations=rec.max_iterations,
+        shrinkage_step=rec.shrinkage_step,
+    )
+
+
 _SECTIONS = {
     "grid": GridConfig,
     "encoder": EncoderConfig,
     "recovery": RecoveryConfig,
-    "decode": DecodeConfig,
+    "decode": DecodeParams,
     "predictor": PredictorConfig,
     "synth": SynthConfig,
     "patches": PatchConfig,

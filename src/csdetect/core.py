@@ -23,12 +23,10 @@ __all__ = [
     "DetectedPoint",
     "DetectionResult",
     "round_half_up",
-    "sparsity_fraction",
     "to_dense_map",
     "save_annotations_csv",
     "load_annotations_csv",
     "save_detections_csv",
-    "load_detections_csv",
 ]
 
 
@@ -107,11 +105,6 @@ class AnnotationSet:
         if not self.cells:
             return np.zeros((0, 2))
         return np.asarray(self.cells, dtype=np.float64)
-
-
-def sparsity_fraction(annotations: AnnotationSet) -> float:
-    """Fraction of grid pixels occupied by cells, k / (w*h)."""
-    return len(annotations) / annotations.grid.n_pixels
 
 
 def to_dense_map(annotations: AnnotationSet) -> np.ndarray:
@@ -310,15 +303,3 @@ def save_detections_csv(result: DetectionResult, path) -> None:
         writer.writerow(["x", "y", "support"])
         for p in result.points:
             writer.writerow([fmt_float(p.x), fmt_float(p.y), p.support])
-
-
-def load_detections_csv(path) -> DetectionResult:
-    with open(Path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["x", "y", "support"]:
-            raise ValueError(f"{path}: expected header 'x,y,support', got {header}")
-        points = [
-            DetectedPoint(float(r[0]), float(r[1]), int(r[2])) for r in reader if r
-        ]
-    return DetectionResult(tuple(points))

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .core import AnnotationSet, CompressedSignal, ImageGrid, SparseLocationSignal, round_half_up
 from .sensing import SensingMatrix, project
@@ -36,8 +35,6 @@ __all__ = [
     "project_to_axis",
     "axis_signal",
     "encode_scheme2",
-    "save_axis_layout",
-    "load_axis_layout",
 ]
 
 _UNIT_TOL = 1e-12
@@ -250,40 +247,3 @@ def encode_scheme2(
     return CompressedSignal(
         values=np.concatenate(blocks), block_size=phi.rows, block_count=layout.count
     )
-
-
-def save_axis_layout(layout: AxisLayout, path) -> None:
-    doc = {
-        "grid": {"width": layout.grid.width, "height": layout.grid.height},
-        "margin": float(layout.margin),
-        "axes": [
-            {
-                "index": ax.index,
-                "origin": [float(ax.origin[0]), float(ax.origin[1])],
-                "direction": [float(ax.direction[0]), float(ax.direction[1])],
-                "bin_count": ax.bin_count,
-            }
-            for ax in layout.axes
-        ],
-    }
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=True)
-
-
-def load_axis_layout(path) -> AxisLayout:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    grid = ImageGrid(width=doc["grid"]["width"], height=doc["grid"]["height"])
-    axes = []
-    for entry in doc["axes"]:
-        dx, dy = entry["direction"]
-        axes.append(
-            ObservationAxis(
-                index=entry["index"],
-                origin=tuple(entry["origin"]),
-                direction=(dx, dy),
-                normal=(-dy, dx),
-                bin_count=entry["bin_count"],
-            )
-        )
-    return AxisLayout(axes=tuple(axes), grid=grid, margin=doc["margin"])

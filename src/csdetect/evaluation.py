@@ -21,9 +21,7 @@ __all__ = [
     "match_detections",
     "prf1",
     "aggregate_reports",
-    "pr_curve",
     "write_evaluation_csv",
-    "write_pr_csv",
 ]
 
 
@@ -107,28 +105,6 @@ def aggregate_reports(reports, macro: bool = False) -> tuple:
     return prf1(total)
 
 
-def pr_curve(evaluate, thresholds) -> list:
-    """[(threshold, precision, recall)] for a decode-threshold sweep,
-    sorted by ascending recall.
-
-    `evaluate` maps one threshold value to a MatchReport (or a list of
-    them, which is micro-aggregated).
-    """
-    thresholds = list(thresholds)
-    if len(thresholds) < 2:
-        raise ValueError("a sweep needs at least two thresholds")
-    points = []
-    for t in thresholds:
-        result = evaluate(t)
-        if isinstance(result, MatchReport):
-            p, r, _ = prf1(result)
-        else:
-            p, r, _ = aggregate_reports(result)
-        points.append((t, p, r))
-    points.sort(key=lambda row: (row[2], row[0]))
-    return points
-
-
 def write_evaluation_csv(rows, path, macro: bool = False) -> None:
     """Per-image metric rows plus a trailing aggregate row.
 
@@ -155,11 +131,3 @@ def write_evaluation_csv(rows, path, macro: bool = False) -> None:
                 fmt_float(f),
             ]
         )
-
-
-def write_pr_csv(points, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "precision", "recall"])
-        for t, p, r in points:
-            writer.writerow([fmt_float(t), fmt_float(p), fmt_float(r)])

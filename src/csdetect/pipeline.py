@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, recovery_params
 from .core import (
     AnnotationSet,
     CompressedSignal,
@@ -24,9 +24,9 @@ from .core import (
     load_annotations_csv,
     save_annotations_csv,
 )
-from .decoder import DecodeParams, decode_scheme1, decode_scheme2, merge_ensemble
+from .decoder import decode_scheme1, decode_scheme2, merge_ensemble
 from .encoder import AxisLayout, build_axis_layout, encode_scheme1, encode_scheme2
-from .evaluation import MatchReport, match_detections
+from .evaluation import match_detections
 from .predictor import (
     RegressorModel,
     TrainingExample,
@@ -35,7 +35,7 @@ from .predictor import (
     predict,
     train_regressor,
 )
-from .recovery import RecoveryParams, SolverTrace, bp_recover, omp_recover
+from .recovery import bp_recover, omp_recover
 from .sensing import SensingMatrix, make_sensing_matrix
 from .synthdata import (
     Patch,
@@ -53,8 +53,6 @@ __all__ = [
     "Codec",
     "derive_seed",
     "make_codec",
-    "recovery_params",
-    "decode_params",
     "encode_patch",
     "decode_signal",
     "generate_dataset",
@@ -109,29 +107,6 @@ def make_codec(config: PipelineConfig) -> Codec:
     return Codec(grid=grid, layout=layout, phi=phi, scheme=enc.scheme)
 
 
-def recovery_params(config: PipelineConfig) -> RecoveryParams:
-    rec = config.recovery
-    return RecoveryParams(
-        max_sparsity=rec.max_sparsity,
-        residual_tol=rec.residual_tol,
-        noise_budget_frac=rec.noise_budget_frac,
-        max_iterations=rec.max_iterations,
-        shrinkage_step=rec.shrinkage_step,
-    )
-
-
-def decode_params(config: PipelineConfig) -> DecodeParams:
-    dec = config.decode
-    return DecodeParams(
-        scheme1_threshold=dec.scheme1_threshold,
-        bandwidth=dec.bandwidth,
-        min_support=dec.min_support,
-        noise_margin=dec.noise_margin,
-        merge_radius=dec.merge_radius,
-        merge_min_count=dec.merge_min_count,
-    )
-
-
 def encode_patch(codec: Codec, annotations: AnnotationSet) -> CompressedSignal:
     if codec.scheme == 1:
         return encode_scheme1(annotations, codec.phi)
@@ -150,17 +125,13 @@ def decode_signal(
             y_hat,
             codec.layout,
             codec.phi,
-            params=decode_params(config),
+            params=config.decode,
             recovery=rec,
             solver=config.recovery.solver,
             diagnostics=diagnostics,
         )
-    trace = SolverTrace()
     solve = bp_recover if config.recovery.solver == "bp" else omp_recover
-    f_hat = solve(y_hat.values, codec.phi, rec, trace=trace)
-    if diagnostics is not None:
-        diagnostics["trace"] = trace
-        diagnostics["signal"] = f_hat
+    f_hat = solve(y_hat.values, codec.phi, rec)
     return decode_scheme1(f_hat, codec.grid, config.decode.scheme1_threshold)
 
 

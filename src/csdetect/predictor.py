@@ -158,6 +158,13 @@ def downsample_patch(patch: np.ndarray, edge: int) -> np.ndarray:
     return pooled.ravel() - 0.5
 
 
+def _initial_weights(rng: np.random.Generator, n_in: int, hidden: int, n_out: int) -> tuple:
+    """Scaled Gaussian (w1, b1, w2, b2): w1 is drawn before w2, zero biases."""
+    w1 = rng.normal(0.0, 1.0 / math.sqrt(n_in), (n_in, hidden))
+    w2 = rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, n_out))
+    return w1, np.zeros(hidden), w2, np.zeros(n_out)
+
+
 def init_model(
     input_edge: int,
     hidden: int,
@@ -166,15 +173,11 @@ def init_model(
     mtl_lambda: float,
     seed: int,
 ) -> RegressorModel:
-    """Untrained model with scaled Gaussian weights."""
-    rng = np.random.default_rng(seed)
-    n_in = input_edge**2
+    """Untrained model with the weights training starts from."""
     n_out = block_size * block_count + (1 if mtl_lambda > 0 else 0)
+    rng = np.random.default_rng(seed)
     return RegressorModel(
-        w1=rng.normal(0.0, 1.0 / math.sqrt(n_in), (n_in, hidden)),
-        b1=np.zeros(hidden),
-        w2=rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, n_out)),
-        b2=np.zeros(n_out),
+        *_initial_weights(rng, input_edge**2, hidden, n_out),
         input_edge=input_edge,
         block_size=block_size,
         block_count=block_count,
@@ -242,11 +245,7 @@ def train_regressor(
     y = y / scale
 
     rng = np.random.default_rng(seed)
-    n_in = input_edge**2
-    w1 = rng.normal(0.0, 1.0 / math.sqrt(n_in), (n_in, hidden))
-    b1 = np.zeros(hidden)
-    w2 = rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, n_out))
-    b2 = np.zeros(n_out)
+    w1, b1, w2, b2 = _initial_weights(rng, input_edge**2, hidden, n_out)
 
     losses = []
     count = len(examples)
@@ -329,14 +328,21 @@ def save_model(model: RegressorModel, path) -> None:
 def load_model(path) -> RegressorModel:
     with open(path, "rb") as fh:
         raw = fh.read()
+    offset = _MODEL_HEADER.size + _MODEL_FLOATS.size
+    if len(raw) < offset:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {offset}-byte header")
     edge, hidden, n_out, block_size, block_count, epochs = _MODEL_HEADER.unpack_from(raw)
     lam, scale, lr, final_loss = _MODEL_FLOATS.unpack_from(raw, _MODEL_HEADER.size)
-    offset = _MODEL_HEADER.size + _MODEL_FLOATS.size
+    if min(edge, hidden, n_out) < 1:
+        raise ValueError(f"{path}: model header has non-positive layer sizes")
     n_in = edge * edge
-    body = np.frombuffer(raw, dtype="<f8", offset=offset)
     sizes = [n_in * hidden, hidden, hidden * n_out, n_out]
-    if body.size != sum(sizes):
-        raise ValueError(f"{path}: expected {sum(sizes)} weights, found {body.size}")
+    expected = offset + 8 * sum(sizes)
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path}: expected {expected} bytes for {sum(sizes)} weights, found {len(raw)}"
+        )
+    body = np.frombuffer(raw, dtype="<f8", offset=offset)
     parts = np.split(body, np.cumsum(sizes)[:-1])
     return RegressorModel(
         w1=parts[0].reshape(n_in, hidden),

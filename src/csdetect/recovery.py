@@ -34,7 +34,6 @@ __all__ = [
     "bp_recover",
     "lasso_shrinkage",
     "operator_norm_sq",
-    "reconstruction_error_diagnostic",
 ]
 
 log = logging.getLogger(__name__)
@@ -324,21 +323,3 @@ def bp_recover(
         trace.converged = converged
         trace.final_residual = final_residual
     return _to_signal(x)
-
-
-def reconstruction_error_diagnostic(
-    f_true: SparseLocationSignal,
-    f_hat: SparseLocationSignal,
-    y_pred: np.ndarray,
-    phi: SensingMatrix,
-) -> tuple:
-    """The two error terms that drive recovery quality: squared signal
-    reconstruction error and squared measurement prediction error."""
-    if f_true.length != f_hat.length or phi.cols != f_true.length:
-        raise ValueError("signal lengths do not agree")
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if y_pred.shape != (phi.rows,):
-        raise ValueError("prediction length does not match matrix rows")
-    recon = f_hat.to_dense() - f_true.to_dense()
-    pred = y_pred - phi.entries @ f_true.to_dense()
-    return float(np.sum(recon**2)), float(np.sum(pred**2))

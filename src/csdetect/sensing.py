@@ -9,9 +9,7 @@ for sparse f and makes the isometry defect directly interpretable.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -22,13 +20,9 @@ __all__ = [
     "minimum_rows",
     "project",
     "empirical_rip_check",
-    "save_sensing_matrix",
-    "load_sensing_matrix",
 ]
 
 DEFAULT_ROW_CONSTANT = 4.0
-
-_HEADER = struct.Struct("<qqq")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,23 +149,3 @@ def empirical_rip_check(
         violation_count=violations,
         delta_bound=delta_bound,
     )
-
-
-def save_sensing_matrix(phi: SensingMatrix, path) -> None:
-    """Flat binary dump: (rows, cols, seed) int64 header + row-major f8."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(phi.rows, phi.cols, phi.seed))
-        fh.write(phi.entries.astype("<f8").tobytes())
-
-
-def load_sensing_matrix(path) -> SensingMatrix:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated matrix file")
-    rows, cols, seed = _HEADER.unpack_from(raw)
-    body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if body.size != rows * cols:
-        raise ValueError(
-            f"{path}: expected {rows * cols} entries, found {body.size}"
-        )
-    return SensingMatrix(entries=body.reshape(rows, cols), seed=int(seed))

@@ -6,6 +6,7 @@ import yaml
 
 from csdetect.cli import entry
 from csdetect.config import ConfigError, default_config, load_config, save_config
+from csdetect.predictor import init_model, save_model
 from csdetect.core import AnnotationSet, ImageGrid
 from csdetect.pipeline import (
     build_training_examples,
@@ -92,6 +93,15 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(path)
     _write_config(path, {"decode": {"min_support": 28}})
     with pytest.raises(ConfigError, match="min_support"):
+        load_config(path)
+    _write_config(path, {"decode": {"bandwidth": -1}})
+    with pytest.raises(ConfigError, match="bandwidth"):
+        load_config(path)
+    _write_config(path, {"recovery": {"max_iterations": 0}})
+    with pytest.raises(ConfigError, match="max_iterations"):
+        load_config(path)
+    _write_config(path, {"predictor": {"sigma_rel": -0.5}})
+    with pytest.raises(ConfigError, match="sigma_rel"):
         load_config(path)
 
 
@@ -293,3 +303,46 @@ def test_cli_exit_codes(workspace, tmp_path, capsys):
     )
     assert entry(["synth", "--config", infeasible, "--out", str(tmp_path / "o5")]) == 2
     assert "could not place" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("decode", "bandwidth", -1.0),
+    ("recovery", "max_iterations", 0),
+    ("predictor", "sigma_rel", -0.5),
+])
+def test_cli_bad_stage_value_is_a_config_error(workspace, tmp_path, capsys, section, key, value):
+    doc = dict(SMALL, **{section: dict(SMALL[section], **{key: value})})
+    bad = _write_config(tmp_path / "bad.yaml", doc)
+    out = tmp_path / "out"
+    assert entry(["run", "--config", bad, "--manifest", workspace["manifest"],
+                  "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()  # rejected before any image was decoded
+
+
+def test_cli_rejects_truncated_model(workspace, tmp_path, capsys):
+    model = init_model(input_edge=8, hidden=8, block_size=12, block_count=6,
+                       mtl_lambda=0.2, seed=0)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    whole = path.read_bytes()
+    for cut in (whole[:3], whole[: len(whole) // 2 + 3]):
+        path.write_bytes(cut)
+        assert entry(["run", "--config", workspace["config"], "--mode", "trained",
+                      "--model", str(path), "--manifest", workspace["manifest"],
+                      "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ensemble", "--diagnostics", "--manifest", "m.yaml"],
+    ["synth", "--workers", "3"],
+    ["train", "--offsets", "0,16", "--manifest", "m.yaml"],
+    ["ripcheck", "--diagnostics"],
+])
+def test_cli_flags_are_scoped_to_their_subcommands(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        entry(argv + ["--config", "c.yaml", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

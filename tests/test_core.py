@@ -11,11 +11,9 @@ from csdetect.core import (
     ImageGrid,
     SparseLocationSignal,
     load_annotations_csv,
-    load_detections_csv,
     round_half_up,
     save_annotations_csv,
     save_detections_csv,
-    sparsity_fraction,
     to_dense_map,
 )
 
@@ -69,12 +67,6 @@ def test_annotations_coords_shape():
     ann = AnnotationSet(grid=grid, cells=((2.0, 3.0), (5.5, 6.5)))
     assert ann.coords().shape == (2, 2)
     assert np.allclose(ann.coords()[1], (5.5, 6.5))
-
-
-def test_sparsity_fraction_empty_and_identity():
-    assert sparsity_fraction(AnnotationSet(grid=ImageGrid(4, 4))) == 0.0
-    one = AnnotationSet(grid=ImageGrid(1, 1), cells=((1.0, 1.0),))
-    assert sparsity_fraction(one) == 1.0
 
 
 def test_to_dense_map_single_point():
@@ -189,11 +181,16 @@ def test_detection_result_coords_and_translate():
 
 
 def test_detections_csv_round_trip(tmp_path):
-    result = DetectionResult(points=((1.25, 2.5, 7), (9.0, 9.0, 1)))
+    result = DetectionResult(points=((1.25, 2.5, 7), (9.0, 9.0, 1), (0.1 + 0.2, 1 / 3, 2)))
     path = tmp_path / "det.csv"
     save_detections_csv(result, path)
-    loaded = load_detections_csv(path)
-    assert loaded == result
-    with pytest.raises(ValueError, match="header"):
-        path.write_text("x,y\n1,2\n")
-        load_detections_csv(path)
+    text = path.read_text()
+    assert text == (
+        "x,y,support\n"
+        "1.25,2.5,7\n"
+        "9.0,9.0,1\n"
+        "0.30000000000000004,0.3333333333333333,2\n"
+    )
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    parsed = tuple(DetectedPoint(float(x), float(y), int(s)) for x, y, s in rows)
+    assert parsed == result.points

@@ -15,9 +15,7 @@ from csdetect.encoder import (
     encode_scheme1,
     encode_scheme2,
     flatten_annotations,
-    load_axis_layout,
     project_to_axis,
-    save_axis_layout,
 )
 from csdetect.sensing import make_sensing_matrix
 
@@ -185,18 +183,3 @@ def test_scheme2_rejects_matrix_mismatch():
     phi = make_sensing_matrix(8, layout.bin_count + 1, seed=2)
     with pytest.raises(ValueError):
         encode_scheme2(AnnotationSet(grid=grid), layout, phi)
-
-
-def test_layout_file_round_trip(tmp_path):
-    layout = build_axis_layout(ImageGrid(26, 14), 5)
-    path = tmp_path / "layout.yaml"
-    save_axis_layout(layout, path)
-    loaded = load_axis_layout(path)
-    assert loaded.grid == layout.grid
-    assert loaded.margin == pytest.approx(layout.margin)
-    assert loaded.count == layout.count
-    for a, b in zip(loaded.axes, layout.axes):
-        assert a.index == b.index and a.bin_count == b.bin_count
-        assert a.origin == pytest.approx(b.origin)
-        assert a.direction == pytest.approx(b.direction)
-        assert a.normal == pytest.approx(b.normal)

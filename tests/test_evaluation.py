@@ -1,4 +1,4 @@
-"""Scoring: rho-radius matching, P/R/F1, sweeps, CSV reports."""
+"""Scoring: rho-radius matching, P/R/F1, CSV reports."""
 
 import itertools
 
@@ -10,10 +10,8 @@ from csdetect.evaluation import (
     MatchReport,
     aggregate_reports,
     match_detections,
-    pr_curve,
     prf1,
     write_evaluation_csv,
-    write_pr_csv,
 )
 
 GRID = ImageGrid(100, 100)
@@ -123,27 +121,6 @@ def test_aggregate_micro_vs_macro():
     assert aggregate_reports([]) == (0.0, 0.0, 0.0)
 
 
-def test_pr_curve_sorted_by_recall():
-    table = {
-        0.1: MatchReport(tp=9, fp=6, fn=1),
-        0.5: MatchReport(tp=7, fp=1, fn=3),
-        0.9: MatchReport(tp=3, fp=0, fn=7),
-    }
-    points = pr_curve(lambda t: table[t], [0.9, 0.1, 0.5])
-    recalls = [r for _, _, r in points]
-    assert recalls == sorted(recalls)
-    assert recalls[-1] == pytest.approx(0.9)  # admit-everything threshold
-    with pytest.raises(ValueError):
-        pr_curve(lambda t: table[0.5], [0.5])
-
-
-def test_pr_curve_accepts_report_lists():
-    reports = [MatchReport(tp=1, fp=0, fn=1), MatchReport(tp=1, fp=1, fn=0)]
-    points = pr_curve(lambda t: reports, [0.0, 1.0])
-    assert points[0][1] == pytest.approx(2 / 3)
-    assert points[0][2] == pytest.approx(2 / 3)
-
-
 def test_evaluation_csv(tmp_path):
     rows = [
         ("img_000", MatchReport(tp=3, fp=1, fn=0)),
@@ -159,12 +136,3 @@ def test_evaluation_csv(tmp_path):
     assert agg[1:4] == ["4", "1", "1"]
     assert float(agg[4]) == pytest.approx(0.8)
     assert float(agg[5]) == pytest.approx(0.8)
-
-
-def test_pr_csv(tmp_path):
-    path = tmp_path / "pr.csv"
-    write_pr_csv([(0.1, 0.5, 0.25), (0.2, 1.0, 0.125)], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "threshold,precision,recall"
-    assert lines[1] == "0.1,0.5,0.25"
-    assert len(lines) == 3

@@ -1,11 +1,10 @@
-"""Sparse recovery: greedy pursuit, shrinkage-based basis pursuit, diagnostics."""
+"""Sparse recovery: greedy pursuit, shrinkage-based basis pursuit."""
 
 import math
 
 import numpy as np
 import pytest
 
-from csdetect.core import SparseLocationSignal
 from csdetect.recovery import (
     RecoveryParams,
     SolverTrace,
@@ -14,7 +13,6 @@ from csdetect.recovery import (
     lasso_shrinkage,
     omp_recover,
     operator_norm_sq,
-    reconstruction_error_diagnostic,
 )
 from csdetect.sensing import make_sensing_matrix
 
@@ -157,26 +155,6 @@ def test_bp_trace_is_populated():
     assert math.isfinite(trace.final_residual)
 
 
-def test_diagnostic_perfect_prediction():
-    phi = make_sensing_matrix(10, 32, seed=0)
-    rng = np.random.default_rng(1)
-    x, _ = _spike_signal(32, 3, rng)
-    f = SparseLocationSignal.from_dense(x)
-    recon, pred = reconstruction_error_diagnostic(f, f, phi.entries @ x, phi)
-    assert recon == 0.0
-    assert pred == pytest.approx(0.0, abs=1e-20)
-
-
-def test_diagnostic_prediction_error_is_delta_norm():
-    phi = make_sensing_matrix(10, 32, seed=0)
-    rng = np.random.default_rng(2)
-    x, _ = _spike_signal(32, 3, rng)
-    f = SparseLocationSignal.from_dense(x)
-    delta = rng.normal(size=10) * 0.01
-    _, pred = reconstruction_error_diagnostic(f, f, phi.entries @ x + delta, phi)
-    assert pred == pytest.approx(float(np.sum(delta**2)))
-
-
 def test_diagnostic_median_error_grows_with_noise():
     phi = make_sensing_matrix(64, 256, seed=3)
     sigmas = (0.01, 0.05, 0.1)
@@ -192,9 +170,6 @@ def test_diagnostic_median_error_grows_with_noise():
             f_hat = bp_recover(
                 y + noise, phi, RecoveryParams(noise_budget_frac=sigma)
             )
-            recon, _ = reconstruction_error_diagnostic(
-                SparseLocationSignal.from_dense(x), f_hat, y + noise, phi
-            )
-            errs.append(recon)
+            errs.append(float(np.sum((f_hat.to_dense() - x) ** 2)))
         medians.append(float(np.median(errs)))
     assert medians[0] <= medians[1] <= medians[2]

@@ -1,4 +1,4 @@
-"""Sensing matrices: generation, row budget, projection, isometry, I/O."""
+"""Sensing matrices: generation, row budget, projection, isometry."""
 
 import math
 
@@ -8,11 +8,9 @@ import pytest
 from csdetect.sensing import (
     SensingMatrix,
     empirical_rip_check,
-    load_sensing_matrix,
     make_sensing_matrix,
     minimum_rows,
     project,
-    save_sensing_matrix,
 )
 
 
@@ -92,22 +90,3 @@ def test_rip_rejects_oversparse_request():
     phi = make_sensing_matrix(10, 40, seed=0)
     with pytest.raises(ValueError):
         empirical_rip_check(phi, sparsity=21, trials=10, seed=0)
-
-
-def test_matrix_file_round_trip(tmp_path):
-    phi = make_sensing_matrix(12, 30, seed=9)
-    path = tmp_path / "phi.bin"
-    save_sensing_matrix(phi, path)
-    assert load_sensing_matrix(path) == phi
-
-
-def test_matrix_file_rejects_truncation(tmp_path):
-    phi = make_sensing_matrix(12, 30, seed=9)
-    path = tmp_path / "phi.bin"
-    save_sensing_matrix(phi, path)
-    path.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(ValueError):
-        load_sensing_matrix(path)
-    path.write_bytes(b"\x00" * 8)
-    with pytest.raises(ValueError, match="truncated"):
-        load_sensing_matrix(path)
