@@ -17,7 +17,6 @@ from .recovery import RecoveryParams
 
 __all__ = [
     "ConfigError",
-    "GridConfig",
     "EncoderConfig",
     "RecoveryConfig",
     "PredictorConfig",
@@ -35,12 +34,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    width: int = 260
-    height: int = 260
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,6 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    grid: GridConfig = field(default_factory=GridConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
     decode: DecodeParams = field(default_factory=DecodeParams)
@@ -179,7 +171,6 @@ def recovery_params(config: PipelineConfig) -> RecoveryParams:
 
 
 _SECTIONS = {
-    "grid": GridConfig,
     "encoder": EncoderConfig,
     "recovery": RecoveryConfig,
     "decode": DecodeParams,
@@ -217,6 +208,10 @@ def _from_dict(doc: dict) -> PipelineConfig:
         bad = set(block) - valid
         if bad:
             raise ConfigError(f"unknown keys in '{name}': {sorted(bad)}")
+        for key, value in block.items():
+            items = value if isinstance(value, list) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+                raise ConfigError(f"{name}.{key} must be finite, got {value}")
         coerced = {
             key: tuple(value) if (name, key) in _TUPLE_FIELDS and value is not None else value
             for key, value in block.items()

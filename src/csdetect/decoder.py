@@ -152,11 +152,14 @@ def filter_noise_candidates(candidates, grid: ImageGrid, noise_margin: float) ->
 def meanshift_cluster(candidates, bandwidth: float):
     """Flat-kernel mean shift over candidate positions.
 
-    Every candidate iterates to the mean of its bandwidth-neighbors until
-    it moves less than 1e-3 px; converged modes closer than bandwidth/2 are
-    the same cluster. Returns [(mean point, support)] where the mean is over
-    the original (unshifted) member positions and support is the member
-    count.
+    Every candidate iterates to the mean of its bandwidth-neighbors among
+    the original positions until it moves less than 1e-3 px. Trajectories
+    never see each other, so all of them advance together, one array step
+    per iteration, and each drops out once it has converged. Modes form
+    clusters greedily in candidate order: each mode joins the first earlier
+    cluster whose founding mode lies within bandwidth/2, or founds a new
+    one. Returns [(mean point, support)] where the mean is over the
+    original (unshifted) member positions and support is the member count.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be > 0")
@@ -164,35 +167,44 @@ def meanshift_cluster(candidates, bandwidth: float):
         return []
     pts = np.array([(c.x, c.y) for c in candidates], dtype=np.float64)
     modes = pts.copy()
+    active = np.arange(len(pts))
     bw2 = bandwidth * bandwidth
-    for i in range(len(pts)):
-        p = modes[i]
-        for _ in range(_SHIFT_MAX_ITER):
-            d2 = np.sum((pts - p) ** 2, axis=1)
-            shifted = pts[d2 <= bw2].mean(axis=0)
-            if np.hypot(*(shifted - p)) < _SHIFT_TOL:
-                p = shifted
-                break
-            p = shifted
-        modes[i] = p
+    for _ in range(_SHIFT_MAX_ITER):
+        if not active.size:
+            break
+        p = modes[active]
+        d2 = pts[:, 0:1] - p[:, 0]  # (points, active trajectories)
+        d2 *= d2
+        dy2 = pts[:, 1:2] - p[:, 1]
+        dy2 *= dy2
+        d2 += dy2
+        near = d2 <= bw2
+        # Summing down axis 0 adds the neighbors one at a time in candidate
+        # order, as pts[near].mean(axis=0) does for a single trajectory, so
+        # the modes are bit-identical to shifting one candidate at a time.
+        sums = (near[:, None, :] * pts[:, :, None]).sum(axis=0)  # (2, active)
+        shifted = (sums / near.sum(axis=0)).T
+        moved = np.hypot(shifted[:, 0] - p[:, 0], shifted[:, 1] - p[:, 1])
+        modes[active] = shifted
+        active = active[~(moved < _SHIFT_TOL)]
 
+    # The first unassigned mode founds the next cluster and takes every
+    # unassigned mode near it: the modes left unassigned matched no earlier
+    # founder, so this is the same first-founder-wins partition.
     merge2 = (0.5 * bandwidth) ** 2
-    centers = []  # representative mode per cluster
-    members = []
-    for i in range(len(pts)):
-        assigned = False
-        for c, center in enumerate(centers):
-            if np.sum((modes[i] - center) ** 2) <= merge2:
-                members[c].append(i)
-                assigned = True
-                break
-        if not assigned:
-            centers.append(modes[i])
-            members.append([i])
-    return [
-        ((float(pts[idx, 0].mean()), float(pts[idx, 1].mean())), len(idx))
-        for idx in (np.array(m) for m in members)
-    ]
+    mx, my = modes[:, 0], modes[:, 1]
+    xs, ys = pts[:, 0], pts[:, 1]
+    free = np.ones(len(pts), dtype=bool)
+    clusters = []
+    while free.any():
+        founder = int(np.argmax(free))
+        dx, dy = mx - mx[founder], my - my[founder]
+        members = free & (dx * dx + dy * dy <= merge2)
+        members[founder] = True  # a NaN mode matches nothing, not even itself
+        free &= ~members
+        idx = np.flatnonzero(members)
+        clusters.append(((float(xs[idx].mean()), float(ys[idx].mean())), len(idx)))
+    return clusters
 
 
 def decode_scheme2(

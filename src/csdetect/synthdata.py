@@ -209,25 +209,37 @@ def save_pgm(image: np.ndarray, path) -> None:
 
 def load_pgm(path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
+    if raw[:2] != b"P5" or raw[2:3].strip():
+        raise ValueError(f"{path}: not a binary PGM")
+    fields = []  # width, height, maxval
+    pos = 2
+    while len(fields) < 3:
         while pos < len(raw) and raw[pos : pos + 1].isspace():
             pos += 1
+        if pos == len(raw):
+            raise ValueError(
+                f"{path}: truncated PGM header, {len(fields)} of width, height, maxval"
+            )
         if raw[pos : pos + 1] == b"#":  # comment line
-            pos = raw.index(b"\n", pos) + 1
+            end = raw.find(b"\n", pos)
+            if end < 0:
+                raise ValueError(f"{path}: PGM header comment has no end of line")
+            pos = end + 1
             continue
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         fields.append(raw[start:pos])
     pos += 1  # single whitespace byte after maxval
-    if fields[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if not all(f.isdigit() for f in fields):
+        shown = " ".join(f.decode("ascii", "replace") for f in fields)
+        raise ValueError(f"{path}: PGM width, height and maxval must be integers, got {shown!r}")
+    width, height, maxval = (int(f) for f in fields)
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: PGM width and height must be positive, got {width}x{height}")
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit graymaps are supported")
-    body = np.frombuffer(raw, dtype=np.uint8, offset=pos)
+    body = np.frombuffer(raw[pos:], dtype=np.uint8)
     if body.size < width * height:
         raise ValueError(f"{path}: truncated pixel data")
     return body[: width * height].reshape(height, width).astype(np.float64) / 255.0

@@ -347,7 +347,6 @@ def test_criterion_10_gradient_correctness():
 
 
 _CLI_DOC = {
-    "grid": {"width": 32, "height": 32},
     "encoder": {"scheme": 2, "axes": 6, "measurements": 12},
     "recovery": {"solver": "omp", "max_sparsity": 4},
     "decode": {"bandwidth": 3.0, "min_support": 3, "merge_radius": 4.0, "merge_min_count": 2},

@@ -1,5 +1,7 @@
 """Config loading, pipeline wiring and the command-line interface."""
 
+import shutil
+
 import numpy as np
 import pytest
 import yaml
@@ -18,7 +20,6 @@ from csdetect.pipeline import (
 )
 
 SMALL = {
-    "grid": {"width": 32, "height": 32},
     "encoder": {"scheme": 2, "axes": 6, "measurements": 12},
     "recovery": {"solver": "omp", "max_sparsity": 4},
     "decode": {"bandwidth": 3.0, "min_support": 3, "merge_radius": 4.0, "merge_min_count": 2},
@@ -102,6 +103,20 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(path)
     _write_config(path, {"predictor": {"sigma_rel": -0.5}})
     with pytest.raises(ConfigError, match="sigma_rel"):
+        load_config(path)
+    for section, key, value in [("decode", "bandwidth", float("nan")),
+                                ("decode", "bandwidth", float("inf")),
+                                ("evaluation", "rho", float("nan")),
+                                ("synth", "blob_radius", [2.5, float("inf")])]:
+        _write_config(path, {section: {key: value}})
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
+            load_config(path)
+
+
+def test_config_rejects_grid_section(tmp_path):
+    path = tmp_path / "grid.yaml"
+    _write_config(path, dict(SMALL, grid={"width": 32, "height": 32}))
+    with pytest.raises(ConfigError, match=r"unknown config sections: \['grid'\]"):
         load_config(path)
 
 
@@ -309,6 +324,9 @@ def test_cli_exit_codes(workspace, tmp_path, capsys):
     ("decode", "bandwidth", -1.0),
     ("recovery", "max_iterations", 0),
     ("predictor", "sigma_rel", -0.5),
+    ("decode", "bandwidth", float("nan")),
+    ("decode", "bandwidth", float("inf")),
+    ("evaluation", "rho", float("nan")),
 ])
 def test_cli_bad_stage_value_is_a_config_error(workspace, tmp_path, capsys, section, key, value):
     doc = dict(SMALL, **{section: dict(SMALL[section], **{key: value})})
@@ -333,6 +351,19 @@ def test_cli_rejects_truncated_model(workspace, tmp_path, capsys):
                       "--model", str(path), "--manifest", workspace["manifest"],
                       "--out", str(tmp_path / "out")]) == 2
         assert f"error: {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", [b"P5\n260", b"P5\n# no end of line", b"P5 0 0 255\n"])
+def test_cli_rejects_bad_pgm_header(workspace, tmp_path, capsys, header):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    image = data / "images" / "test_000.pgm"
+    image.write_bytes(header)
+    out = tmp_path / "out"
+    assert entry(["run", "--config", workspace["config"],
+                  "--manifest", str(data / "manifest.yaml"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {image}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csdetect.core import AnnotationSet, DetectionResult, ImageGrid, SparseLocationSignal
 from csdetect.decoder import (
@@ -157,6 +159,113 @@ def test_meanshift_two_far_groups():
 def test_meanshift_rejects_bad_bandwidth():
     with pytest.raises(ValueError):
         meanshift_cluster([], bandwidth=0.0)
+
+
+def _meanshift_one_at_a_time(candidates, bandwidth):
+    """Reference: shift one candidate at a time to convergence, then assign
+    each mode in order to the first cluster centre within bandwidth/2."""
+    if not candidates:
+        return []
+    pts = np.array([(c.x, c.y) for c in candidates], dtype=np.float64)
+    modes = pts.copy()
+    bw2 = bandwidth * bandwidth
+    for i in range(len(pts)):
+        p = modes[i]
+        for _ in range(100):
+            d2 = np.sum((pts - p) ** 2, axis=1)
+            shifted = pts[d2 <= bw2].mean(axis=0)
+            if np.hypot(*(shifted - p)) < 1e-3:
+                p = shifted
+                break
+            p = shifted
+        modes[i] = p
+
+    merge2 = (0.5 * bandwidth) ** 2
+    centers = []
+    members = []
+    for i in range(len(pts)):
+        for c, center in enumerate(centers):
+            if np.sum((modes[i] - center) ** 2) <= merge2:
+                members[c].append(i)
+                break
+        else:
+            centers.append(modes[i])
+            members.append([i])
+    return [
+        ((float(pts[idx, 0].mean()), float(pts[idx, 1].mean())), len(idx))
+        for idx in (np.array(m) for m in members)
+    ]
+
+
+def _candidates(xy):
+    return [CandidatePoint(x=float(x), y=float(y), source_axis=1, magnitude=1.0) for x, y in xy]
+
+
+def _assert_same_clusters(xy, bandwidth):
+    cands = _candidates(xy)
+    assert meanshift_cluster(cands, bandwidth) == _meanshift_one_at_a_time(cands, bandwidth)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_meanshift_matches_one_at_a_time_on_random_sets(seed):
+    # decode-like pools: tight groups of votes, scattered noise votes
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(20, 240, size=(int(rng.integers(1, 15)), 2))
+    groups = [c + rng.normal(0, 1.5, size=(int(rng.integers(3, 30)), 2)) for c in centres]
+    noise = rng.uniform(0, 260, size=(int(rng.integers(0, 80)), 2))
+    xy = rng.permutation(np.vstack(groups + [noise]))
+    for bandwidth in (1.0, 4.6, 9.19, 25.0):
+        _assert_same_clusters(xy, bandwidth)
+
+
+def test_meanshift_matches_one_at_a_time_on_duplicates():
+    rng = np.random.default_rng(7)
+    base = rng.uniform(0, 30, size=(6, 2))
+    xy = base[rng.integers(0, len(base), size=60)]
+    _assert_same_clusters(xy, 3.0)
+    _assert_same_clusters(np.repeat(base, 9, axis=0), 40.0)
+    _assert_same_clusters(np.zeros((12, 2)), 0.5)
+
+
+def test_meanshift_matches_one_at_a_time_at_bandwidth_spacing():
+    # lattice points exactly one bandwidth apart sit on the kernel edge
+    bandwidth = 4.0
+    xs, ys = np.meshgrid(np.arange(6) * bandwidth, np.arange(4) * bandwidth)
+    lattice = np.column_stack([xs.ravel(), ys.ravel()])
+    _assert_same_clusters(lattice, bandwidth)
+    _assert_same_clusters(lattice[::-1], bandwidth)
+    _assert_same_clusters(np.column_stack([np.arange(9) * bandwidth, np.zeros(9)]), bandwidth)
+
+
+def test_meanshift_modes_half_a_bandwidth_apart():
+    # votes at -4, 0, 4 with bandwidth 4 converge to modes -2, 0, 2: the
+    # middle mode lies exactly bandwidth/2 from both neighbors, joins the
+    # first cluster, and the third mode (4 from that founder) starts its own
+    bandwidth = 4.0
+    triple = [(-4.0, 0.0), (0.0, 0.0), (4.0, 0.0)]
+    assert meanshift_cluster(_candidates(triple), bandwidth) == [
+        ((-2.0, 0.0), 2), ((4.0, 0.0), 1)
+    ]
+    _assert_same_clusters(triple, bandwidth)
+    _assert_same_clusters(triple[::-1], bandwidth)
+    shifted = [(x + dx, y + dy) for dx, dy in ((0, 0), (40, 0), (0, 40)) for x, y in triple]
+    _assert_same_clusters(shifted, bandwidth)
+    _assert_same_clusters(np.random.default_rng(3).permutation(shifted), bandwidth)
+
+
+_coordinate = st.one_of(
+    st.integers(0, 12).map(float),
+    st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    xy=st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=40),
+    bandwidth=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0]), st.floats(0.1, 30.0)),
+)
+def test_meanshift_matches_one_at_a_time_property(xy, bandwidth):
+    _assert_same_clusters(xy, bandwidth)
 
 
 def test_decode_params_resolution():

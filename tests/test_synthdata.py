@@ -173,6 +173,26 @@ def test_pgm_parser_handles_comments_and_rejects_garbage(tmp_path):
         load_pgm(path)
 
 
+@pytest.mark.parametrize("header, reason", [
+    (b"", "not a binary PGM"),
+    (b"P5", "truncated PGM header, 0 of"),
+    (b"P5\n260", "truncated PGM header, 1 of"),
+    (b"P5\n260 260\n# trailing comment\n", "truncated PGM header, 2 of"),
+    (b"P5\n# no end of line", "comment has no end of line"),
+    (b"P5\n3 two\n255\n", "must be integers, got '3 two 255'"),
+    (b"P5\n3 -2\n255\n", "must be integers"),
+    (b"P5 0 0 255\n", "must be positive, got 0x0"),
+    (b"P5\n3 2\n255", "truncated pixel data"),
+    (b"P5x 3 2 255\n", "not a binary PGM"),
+])
+def test_pgm_header_errors_name_the_file(tmp_path, header, reason):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match=reason) as exc:
+        load_pgm(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_manifest_round_trip(tmp_path):
     manifest = {
         "grid": {"width": 64, "height": 64},
