@@ -21,7 +21,8 @@ import numpy as np
 
 from .core import DetectedPoint, DetectionResult, ImageGrid, SparseLocationSignal
 from .encoder import AxisLayout, ObservationAxis
-from .recovery import RecoveryParams, SolverTrace, bp_recover, omp_recover, operator_norm_sq
+from .recovery import RecoveryParams, SolverTrace, bp_recover_rows, omp_recover, operator_norm_sq
+from .recovery import bp_recover  # noqa: F401  unused; perfbench/tracing.py wraps it by this name
 from .sensing import SensingMatrix
 
 __all__ = [
@@ -218,11 +219,13 @@ def decode_scheme2(
 ) -> DetectionResult:
     """Full axis-route decode of a concatenated measurement vector.
 
-    Per axis: recover the sparse signal, back-project to candidate points.
-    Pooled candidates are noise-filtered and mean-shift clustered; clusters
-    with support >= min_support become detections at the cluster mean. A
-    non-converging axis is logged and decoded with its best iterate rather
-    than aborting the others.
+    Recover every axis's sparse signal (basis pursuit solves the L blocks
+    together in one batched run, OMP one block at a time) and back-project
+    each to candidate points. Pooled candidates are noise-filtered and
+    mean-shift clustered; clusters with support >= min_support become
+    detections at the cluster mean. A non-converging axis is logged and
+    decoded with its best iterate rather than aborting the others. A
+    non-finite prediction is rejected before any solve.
     """
     params = (params or DecodeParams()).resolved(layout)
     recovery = recovery or RecoveryParams()
@@ -234,18 +237,27 @@ def decode_scheme2(
         raise ValueError("matrix shape does not match layout bins / block size")
     if solver not in ("bp", "omp"):
         raise ValueError(f"unknown solver {solver!r}")
-    norm_sq = operator_norm_sq(phi.entries) if solver == "bp" else None
+    blocks = y_hat.values.reshape(layout.count, y_hat.block_size)[
+        [axis.index - 1 for axis in layout.axes]
+    ]
+    finite = np.isfinite(blocks).all(axis=1)
+    if not finite.all():
+        bad = [str(axis.index) for axis, ok in zip(layout.axes, finite) if not ok]
+        raise ValueError(f"non-finite prediction on axes {','.join(bad)}")
+
+    traces = [SolverTrace() for _ in layout.axes]
+    if solver == "bp":
+        norm_sq = operator_norm_sq(phi.entries)
+        signals = bp_recover_rows(blocks, phi, recovery, traces, norm_sq)
+    else:
+        signals = [
+            omp_recover(block, phi, recovery, trace=trace) for block, trace in zip(blocks, traces)
+        ]
 
     candidates = []
     axis_records = []
     stalled = []
-    for axis in layout.axes:
-        block = y_hat.block(axis.index - 1)
-        trace = SolverTrace()
-        if solver == "bp":
-            f_hat_l = bp_recover(block, phi, recovery, trace=trace, op_norm_sq=norm_sq)
-        else:
-            f_hat_l = omp_recover(block, phi, recovery, trace=trace)
+    for axis, f_hat_l, trace in zip(layout.axes, signals, traces):
         if not trace.converged:
             stalled.append(axis.index)
         votes = backproject_axis(f_hat_l, axis)

@@ -273,7 +273,10 @@ def _detect_image(
         seed = derive_seed(config.run.seed, image_index, offset_index, patch_index, SALT_ORACLE)
         y_hat = _predict_patch(config, codec, patch, model, seed)
         diag = {} if diagnostics is not None else None
-        detected = decode_signal(codec, y_hat, config, diagnostics=diag)
+        try:
+            detected = decode_signal(codec, y_hat, config, diagnostics=diag)
+        except ValueError as exc:
+            raise ValueError(f"patch at {patch.origin}: {exc}") from exc
         detected = detected.translated(patch.origin[0], patch.origin[1])
         points.extend(detected.points)
         if diagnostics is not None and diag is not None and "axes" in diag:

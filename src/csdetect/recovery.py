@@ -9,7 +9,9 @@ signal out):
   solved by monotone accelerated shrinkage-thresholding with lambda
   continuation and a final least-squares debias on the detected support.
   eps = 0 asks for the equality-constrained program and is handled with a
-  tiny internal floor.
+  tiny internal floor. bp_recover_rows solves a stack of such problems
+  against one matrix together, with matrix-matrix products; bp_recover is
+  its one-row call.
 
 Both treat residual tolerances relative to ||y|| so recovery commutes with
 positive rescaling of the measurements.
@@ -32,6 +34,7 @@ __all__ = [
     "default_max_sparsity",
     "omp_recover",
     "bp_recover",
+    "bp_recover_rows",
     "lasso_shrinkage",
     "operator_norm_sq",
 ]
@@ -180,48 +183,61 @@ def operator_norm_sq(a: np.ndarray, iterations: int = 16) -> float:
     return 1.1 * est
 
 
-def _soft(v: np.ndarray, t: float) -> np.ndarray:
+def _soft(v: np.ndarray, t) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 def lasso_shrinkage(
     y: np.ndarray,
     a: np.ndarray,
-    lam: float,
+    lam,
     step: float,
     iterations: int,
     x0: np.ndarray | None = None,
 ):
     """Monotone accelerated proximal gradient for the fixed-lambda lasso
-    0.5 ||y - Ax||^2 + lam ||x||_1.
+    0.5 ||y - Ax||^2 + lam ||x||_1, on one measurement vector or a stack.
 
-    Returns (x, objectives) where objectives[i] is the value at iterate i
-    (objectives[0] is the starting point); the sequence is non-increasing.
-    The acceleration candidate is only accepted when it does not raise the
-    objective, which preserves the plain-ISTA descent guarantee.
+    y is (M,) or (rows, M) with one problem per row, and lam is a scalar or
+    one value per row. All rows share the step and the momentum sequence;
+    each row takes the acceleration candidate only when it does not raise
+    that row's objective, which preserves the plain-ISTA descent guarantee.
+
+    Returns (x, objectives). For 1-D y, x is (N,) and objectives[i] is the
+    value at iterate i (objectives[0] is the starting point). For 2-D y, x
+    is (rows, N) and objectives is an (iterations + 1, rows) array. Every
+    row's sequence is non-increasing.
     """
-    n = a.shape[1]
-    x = np.zeros(n) if x0 is None else x0.astype(np.float64, copy=True)
-    ax = a @ x
+    y = np.asarray(y, dtype=np.float64)
+    ys = np.atleast_2d(y)
+    rows, n = ys.shape[0], a.shape[1]
+    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (rows,))
+    x = np.zeros((rows, n)) if x0 is None else np.array(x0, dtype=np.float64).reshape(rows, n)
+    ax = x @ a.T
     x_prev, ax_prev = x, ax
+    threshold = (step * lam)[:, None]
 
     def objective(v, av):
-        return 0.5 * float(np.sum((y - av) ** 2)) + lam * float(np.sum(np.abs(v)))
+        r = ys - av
+        return 0.5 * np.sum(r * r, axis=1) + lam * np.sum(np.abs(v), axis=1)
 
     obj = objective(x, ax)
     objs = [obj]
     t = 1.0
-    az = ax.copy()
-    z = x
+    z, az = x, ax
     for _ in range(iterations):
-        grad = a.T @ (az - y)
-        w = _soft(z - step * grad, step * lam)
-        aw = a @ w
+        grad = (az - ys) @ a
+        w = _soft(z - step * grad, threshold)
+        aw = w @ a.T
         obj_w = objective(w, aw)
-        if obj_w <= obj:
+        accept = obj_w <= obj
+        if accept.all():
             x_next, ax_next, obj = w, aw, obj_w
         else:
-            x_next, ax_next = x, ax
+            rowwise = accept[:, None]
+            x_next = np.where(rowwise, w, x)
+            ax_next = np.where(rowwise, aw, ax)
+            obj = np.where(accept, obj_w, obj)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         # momentum on the accepted iterate; all products are cached combos
         z = x_next + (t / t_next) * (w - x_next) + ((t - 1.0) / t_next) * (x_next - x_prev)
@@ -230,6 +246,9 @@ def lasso_shrinkage(
         x, ax = x_next, ax_next
         t = t_next
         objs.append(obj)
+    objs = np.array(objs)
+    if y.ndim == 1:
+        return x[0], objs[:, 0].tolist()
     return x, objs
 
 
@@ -253,7 +272,24 @@ def bp_recover(
     trace: SolverTrace | None = None,
     op_norm_sq: float | None = None,
 ) -> SparseLocationSignal:
-    """Basis pursuit denoising by shrinkage with lambda continuation.
+    """Basis pursuit denoising of one measurement vector: the one-row call
+    of bp_recover_rows."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (phi.rows,):
+        raise ValueError(f"measurement length {y.shape} does not match {phi.rows} rows")
+    traces = None if trace is None else [trace]
+    return bp_recover_rows(y[None, :], phi, params, traces, op_norm_sq)[0]
+
+
+def bp_recover_rows(
+    ys: np.ndarray,
+    phi: SensingMatrix,
+    params: RecoveryParams | None = None,
+    traces: list | None = None,
+    op_norm_sq: float | None = None,
+) -> list:
+    """Basis pursuit denoising by shrinkage with lambda continuation, for
+    every row of ys (rows, M) against one matrix.
 
     Runs the fixed-lambda solver in short phases, starting from
     lam = 0.25 ||A^T y||_inf and shrinking lam fivefold per phase; after
@@ -262,64 +298,95 @@ def bp_recover(
     also debiases the shrinkage. Entries below 1e-4 of the peak magnitude
     are zeroed before returning.
 
+    The rows are independent problems solved together: they share the step
+    and the phase schedule, every other quantity (lam, eps, best refit,
+    convergence) is per row, and a row leaves the stack once its refit is
+    inside its budget. `traces`, when given, holds one SolverTrace per row.
     `op_norm_sq` lets callers that solve many problems against one matrix
     reuse the power-iteration estimate of ||Phi||^2.
     """
     params = params or RecoveryParams()
     a = phi.entries
     m, n = a.shape
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (m,):
-        raise ValueError(f"measurement length {y.shape} does not match {m} rows")
-    norm_y = float(np.linalg.norm(y))
-    if norm_y == 0.0:
-        return _zero_signal(n, trace)
-    eps = max(params.noise_budget, params.noise_budget_frac * norm_y, _EQUALITY_FLOOR * norm_y)
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.ndim != 2 or ys.shape[1] != m:
+        raise ValueError(f"measurement stack {ys.shape} does not have {m} columns")
+    rows = ys.shape[0]
+    if traces is not None and len(traces) != rows:
+        raise ValueError(f"{len(traces)} traces for {rows} measurement rows")
+    signals: list = [None] * rows
+    eps = np.zeros(rows)
+    lam = np.zeros(rows)
+    for r, y in enumerate(ys):
+        norm_y = float(np.linalg.norm(y))
+        if norm_y == 0.0:
+            signals[r] = _zero_signal(n, None if traces is None else traces[r])
+            continue
+        eps[r] = max(params.noise_budget, params.noise_budget_frac * norm_y, _EQUALITY_FLOOR * norm_y)
+        # one product per row, so a row's lambda path does not depend on
+        # the rows stacked with it
+        lam[r] = 0.25 * float(np.max(np.abs(a.T @ y)))
+    live = [r for r in range(rows) if signals[r] is None]
+    if not live:
+        return signals
     if op_norm_sq is None:
         op_norm_sq = operator_norm_sq(a)
     step = params.shrinkage_step / op_norm_sq
+    lam_floor = np.where(lam > 0, 1e-12 * lam, 1.0)
 
-    lam = 0.25 * float(np.max(np.abs(a.T @ y)))
-    lam_floor = 1e-12 * lam if lam > 0 else 1.0
-    x = np.zeros(n)
-    best = None
+    active = np.array(live)
+    y_act, lam_act = ys[active], lam[active]
+    x = np.zeros((active.size, n))
+    best = {}  # row -> (refit, refit residual norm)
+    converged = np.zeros(rows, dtype=bool)
     budget = params.max_iterations
-    converged = False
-    while budget > 0:
+    while budget > 0 and active.size:
         this_phase = min(_PHASE_ITERATIONS, budget)
-        x, objs = lasso_shrinkage(y, a, lam, step, this_phase, x0=x)
+        x, objs = lasso_shrinkage(y_act, a, lam_act, step, this_phase, x0=x)
         budget -= this_phase
-        if trace is not None:
-            trace.objectives.extend(objs[1:])
-            trace.lambda_path.append(lam)
-            trace.iterations += this_phase
-            trace.residuals.append(float(np.linalg.norm(y - a @ x)))
-        peak = float(np.max(np.abs(x)))
-        if peak > 0.0:
-            cleaned = np.where(np.abs(x) >= _HARD_FLOOR * peak, x, 0.0)
-            refit = _debias(y, a, cleaned)
-            if refit is not None:
-                refit_x, rnorm = refit
-                if best is None or rnorm < best[1]:
-                    best = (refit_x, rnorm)
-                if rnorm <= eps:
-                    converged = True
-                    break
-        lam = max(lam * _LAMBDA_SHRINK, lam_floor)
+        if traces is not None:
+            residuals = np.linalg.norm(y_act - x @ a.T, axis=1)
+            for k, r in enumerate(active):
+                trace = traces[r]
+                trace.objectives.extend(objs[1:, k].tolist())
+                trace.lambda_path.append(float(lam_act[k]))
+                trace.iterations += this_phase
+                trace.residuals.append(float(residuals[k]))
+        mag = np.abs(x)
+        peak = mag.max(axis=1)
+        cleaned = np.where(mag >= _HARD_FLOOR * peak[:, None], x, 0.0)
+        done = np.zeros(active.size, dtype=bool)
+        for k in np.flatnonzero(peak > 0.0):
+            refit = _debias(y_act[k], a, cleaned[k])
+            if refit is None:
+                continue
+            r = int(active[k])
+            if r not in best or refit[1] < best[r][1]:
+                best[r] = refit
+            done[k] = refit[1] <= eps[r]
+        lam_act = np.maximum(lam_act * _LAMBDA_SHRINK, lam_floor[active])
+        if done.any():
+            converged[active[done]] = True
+            keep = ~done
+            active, x, y_act, lam_act = active[keep], x[keep], y_act[keep], lam_act[keep]
 
-    if best is not None:
-        x, final_residual = best
-        peak = float(np.max(np.abs(x)))
-        if peak > 0.0:
-            x = np.where(np.abs(x) >= _HARD_FLOOR * peak, x, 0.0)
-    else:
-        final_residual = float(np.linalg.norm(y - a @ x))
-    if not converged:
-        log.debug(
-            "basis pursuit did not reach the noise budget: residual %.3e > %.3e",
-            final_residual, eps,
-        )
-    if trace is not None:
-        trace.converged = converged
-        trace.final_residual = final_residual
-    return _to_signal(x)
+    last = dict(zip(active.tolist(), x))  # shrinkage iterates of unconverged rows
+    for r in live:
+        if r in best:
+            xr, final_residual = best[r]
+            peak = float(np.max(np.abs(xr)))
+            if peak > 0.0:
+                xr = np.where(np.abs(xr) >= _HARD_FLOOR * peak, xr, 0.0)
+        else:
+            xr = last[r]
+            final_residual = float(np.linalg.norm(ys[r] - a @ xr))
+        if not converged[r]:
+            log.debug(
+                "basis pursuit did not reach the noise budget: residual %.3e > %.3e",
+                final_residual, eps[r],
+            )
+        if traces is not None:
+            traces[r].converged = bool(converged[r])
+            traces[r].final_residual = final_residual
+        signals[r] = _to_signal(xr)
+    return signals

@@ -252,9 +252,35 @@ def write_manifest(manifest: dict, path) -> None:
 
 
 def read_manifest(path) -> dict:
+    """Load a manifest and check its shape up front: a mapping with a
+    positive integer grid size and a list of image entries, each a mapping
+    with string id, image and annotations paths; optional splits map names
+    to lists of ids. Every failure is a ValueError naming the file."""
     with open(path) as fh:
-        manifest = yaml.safe_load(fh)
+        try:
+            manifest = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: manifest is not valid YAML: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest must be a mapping, got {type(manifest).__name__}")
     for key in ("grid", "images"):
         if key not in manifest:
             raise ValueError(f"{path}: manifest is missing '{key}'")
+    grid = manifest["grid"]
+    for key in ("width", "height"):
+        value = grid.get(key) if isinstance(grid, dict) else None
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{path}: grid.{key} must be a positive integer, got {value!r}")
+    images = manifest["images"]
+    if not isinstance(images, list):
+        raise ValueError(f"{path}: 'images' must be a list, got {type(images).__name__}")
+    for i, entry in enumerate(images):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: images[{i}] must be a mapping, got {type(entry).__name__}")
+        for key in ("id", "image", "annotations"):
+            if not isinstance(entry.get(key), str):
+                raise ValueError(f"{path}: images[{i}] needs a string '{key}', got {entry.get(key)!r}")
+    splits = manifest.get("splits", {})
+    if not isinstance(splits, dict) or not all(isinstance(ids, list) for ids in splits.values()):
+        raise ValueError(f"{path}: 'splits' must map split names to lists of image ids")
     return manifest

@@ -1,5 +1,8 @@
 """Config loading, pipeline wiring and the command-line interface."""
 
+import dataclasses
+import logging
+import math
 import shutil
 
 import numpy as np
@@ -207,6 +210,25 @@ def test_run_detection_counts_failures(tmp_path):
     assert results == []
 
 
+@pytest.mark.parametrize("solver", ["bp", "omp"])
+def test_run_detection_reports_non_finite_predictions(tmp_path, caplog, solver):
+    doc = dict(SMALL, predictor=dict(SMALL["predictor"], mode="trained"),
+               recovery=dict(SMALL["recovery"], solver=solver))
+    config = load_config(_write_config(tmp_path / "c.yaml", doc))
+    codec = make_codec(config)
+    model = init_model(input_edge=8, hidden=8, block_size=12, block_count=6,
+                       mtl_lambda=0.2, seed=0)
+    model = dataclasses.replace(model, output_scale=math.nan)
+    grid = ImageGrid(32, 32)
+    images = [("img7", np.zeros((32, 32)), AnnotationSet(grid=grid, cells=((5.0, 5.0),)))]
+    with caplog.at_level(logging.ERROR, logger="csdetect.pipeline"):
+        results, failures = run_detection(config, codec, images, model=model)
+    assert (results, failures) == ([], 1)
+    (record,) = caplog.records
+    assert record.getMessage() == "image img7 failed"
+    assert str(record.exc_info[1]) == "patch at (0, 0): non-finite prediction on axes 1,2,3,4,5,6"
+
+
 # ---------------------------------------------------------------------- CLI
 
 
@@ -377,3 +399,31 @@ def test_cli_flags_are_scoped_to_their_subcommands(tmp_path, capsys, argv):
         entry(argv + ["--config", "c.yaml", "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _drop_annotations(manifest):
+    doc = yaml.safe_load(manifest.read_text())
+    del doc["images"][1]["annotations"]
+    manifest.write_text(yaml.safe_dump(doc))
+
+
+@pytest.mark.parametrize(
+    "spoil, reason",
+    [
+        (lambda manifest: manifest.write_text(""), "manifest must be a mapping"),
+        (_drop_annotations, "images[1] needs a string 'annotations'"),
+    ],
+    ids=["empty", "no-annotations"],
+)
+def test_cli_rejects_bad_manifest(workspace, tmp_path, capsys, spoil, reason):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    manifest = data / "manifest.yaml"
+    spoil(manifest)
+    out = tmp_path / "out"
+    assert entry(["run", "--config", workspace["config"],
+                  "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: {reason}")
+    assert "Traceback" not in err
+    assert not out.exists()

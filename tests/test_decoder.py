@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdetect.core import AnnotationSet, DetectionResult, ImageGrid, SparseLocationSignal
+from csdetect import decoder
+from csdetect.core import (
+    AnnotationSet,
+    CompressedSignal,
+    DetectionResult,
+    ImageGrid,
+    SparseLocationSignal,
+)
 from csdetect.decoder import (
     CandidatePoint,
     DecodeParams,
@@ -25,7 +32,7 @@ from csdetect.encoder import (
     flatten_annotations,
 )
 from csdetect.predictor import oracle_predict
-from csdetect.recovery import RecoveryParams, bp_recover, omp_recover
+from csdetect.recovery import RecoveryParams, SolverTrace, bp_recover, omp_recover
 from csdetect.sensing import make_sensing_matrix, minimum_rows
 
 X_AXIS = ObservationAxis(
@@ -346,6 +353,45 @@ def test_decode_scheme2_diagnostics_and_validation():
     wrong = encode_scheme2(ann, build_axis_layout(grid, 5), make_sensing_matrix(12, layout.bin_count, seed=3))
     with pytest.raises(ValueError):
         decode_scheme2(wrong, layout, phi)
+
+
+def test_decode_scheme2_bp_axes_match_one_axis_solves():
+    grid = ImageGrid(260, 260)
+    layout = build_axis_layout(grid, 27)
+    phi = make_sensing_matrix(112, layout.bin_count, seed=4)
+    recovery = RecoveryParams(noise_budget_frac=0.1)
+    rng = np.random.default_rng(7)
+    ann = _random_cells(grid, 12, min_sep=24.0, rng=rng, pad=8.0)
+    y_hat = oracle_predict(encode_scheme2(ann, layout, phi), sigma_rel=0.05, seed=7)
+    diag = {}
+    decode_scheme2(y_hat, layout, phi, recovery=recovery, diagnostics=diag)
+    assert [record["axis"] for record in diag["axes"]] == list(range(1, 28))
+    for record in diag["axes"]:
+        trace = SolverTrace()
+        one = bp_recover(y_hat.block(record["axis"] - 1), phi, recovery, trace=trace)
+        assert np.array_equal(record["signal"].indices, one.indices)
+        np.testing.assert_allclose(record["signal"].values, one.values, rtol=1e-12, atol=0.0)
+        assert record["trace"].iterations == trace.iterations
+        assert record["trace"].converged == trace.converged
+
+
+@pytest.mark.parametrize("solver", ["bp", "omp"])
+def test_decode_scheme2_rejects_non_finite_before_any_solve(monkeypatch, solver):
+    grid = ImageGrid(24, 24)
+    layout = build_axis_layout(grid, 6)
+    phi = make_sensing_matrix(12, layout.bin_count, seed=3)
+    values = np.full(6 * 12, 0.1)
+    values[2 * 12 + 3] = np.nan
+    values[5 * 12] = -np.inf
+    y_hat = CompressedSignal(values=values, block_size=12, block_count=6)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solver ran on a non-finite prediction")
+
+    monkeypatch.setattr(decoder, "bp_recover_rows", no_solve)
+    monkeypatch.setattr(decoder, "omp_recover", no_solve)
+    with pytest.raises(ValueError, match="^non-finite prediction on axes 3,6$"):
+        decode_scheme2(y_hat, layout, phi, solver=solver)
 
 
 def test_merge_ensemble_below_count_is_discarded():

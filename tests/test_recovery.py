@@ -9,6 +9,7 @@ from csdetect.recovery import (
     RecoveryParams,
     SolverTrace,
     bp_recover,
+    bp_recover_rows,
     default_max_sparsity,
     lasso_shrinkage,
     omp_recover,
@@ -87,11 +88,18 @@ def test_operator_norm_estimate_brackets_truth():
 def test_lasso_objectives_never_increase():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(30, 80))
-    y = rng.normal(size=30)
+    ys = rng.normal(size=(6, 30))
+    lam = np.array([0.0, 0.05, 0.5, 2.0, 8.0, 1e3])
     step = 1.0 / operator_norm_sq(a)
-    _, objs = lasso_shrinkage(y, a, lam=0.5, step=step, iterations=200)
-    diffs = np.diff(objs)
-    assert np.all(diffs <= 1e-12)
+    x, objs = lasso_shrinkage(ys, a, lam=lam, step=step, iterations=200)
+    assert x.shape == (6, 80)
+    assert objs.shape == (201, 6)
+    assert np.all(np.diff(objs, axis=0) <= 1e-12)
+    # a 1-D measurement is one row: 1-D iterate, objectives as a list
+    x1, objs1 = lasso_shrinkage(ys[2], a, lam=0.5, step=step, iterations=200)
+    assert x1.shape == (80,)
+    assert len(objs1) == 201
+    assert np.all(np.diff(objs1) <= 1e-12)
 
 
 def test_lasso_huge_lambda_yields_zero():
@@ -153,6 +161,67 @@ def test_bp_trace_is_populated():
     assert trace.converged
     assert trace.lambda_path and trace.lambda_path == sorted(trace.lambda_path, reverse=True)
     assert math.isfinite(trace.final_residual)
+
+
+def _mixed_stack(phi, rng):
+    """Rows that converge at once (zero, one column), clean and 2%-noisy
+    sparse rows that converge in later phases, and a dense row with no
+    sparse explanation that only stops at the iteration cap."""
+    a = phi.entries
+    m, n = a.shape
+    rows = [np.zeros(m), a[:, 5].copy()]
+    for k, noisy in ((3, False), (6, False), (2, True), (3, True), (5, True), (8, True), (12, True)):
+        x, _ = _spike_signal(n, k, rng, values=rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.5, 2.0, size=k))
+        y = a @ x
+        if noisy:
+            noise = rng.normal(size=m)
+            y += noise * (0.02 * np.linalg.norm(y) / np.linalg.norm(noise))
+        rows.append(y)
+    rows.append(rng.normal(size=m))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        RecoveryParams(noise_budget_frac=0.05),
+        RecoveryParams(noise_budget_frac=0.05, max_iterations=60),
+        RecoveryParams(),
+    ],
+    ids=["frac0.05", "frac0.05-cap60", "frac0"],
+)
+def test_bp_rows_match_one_row_calls(params):
+    phi = make_sensing_matrix(40, 128, seed=21)
+    ys = _mixed_stack(phi, np.random.default_rng(22))
+    traces = [SolverTrace() for _ in ys]
+    stacked = bp_recover_rows(ys, phi, params, traces)
+    assert len(stacked) == len(ys)
+    for y, signal, trace in zip(ys, stacked, traces):
+        one_trace = SolverTrace()
+        one = bp_recover(y, phi, params, trace=one_trace)
+        assert np.array_equal(signal.indices, one.indices)
+        np.testing.assert_allclose(signal.values, one.values, rtol=1e-12, atol=0.0)
+        assert trace.iterations == one_trace.iterations
+        assert trace.converged == one_trace.converged
+        assert trace.lambda_path == one_trace.lambda_path
+    # the stack really mixes the cases: an all-zero row, rows done after
+    # the first phase, rows done later, and rows stopped by the cap
+    cap = params.max_iterations
+    assert (traces[0].iterations, traces[0].converged) == (0, True)
+    assert any(t.converged and t.iterations == 25 for t in traces)
+    assert any(t.converged and 25 < t.iterations < cap for t in traces)
+    assert any(not t.converged and t.iterations == cap for t in traces)
+
+
+def test_bp_rows_validation():
+    phi = make_sensing_matrix(30, 100, seed=1)
+    with pytest.raises(ValueError):
+        bp_recover_rows(np.zeros(30), phi)
+    with pytest.raises(ValueError):
+        bp_recover_rows(np.zeros((2, 29)), phi)
+    with pytest.raises(ValueError):
+        bp_recover_rows(np.zeros((2, 30)), phi, traces=[SolverTrace()])
+    assert bp_recover_rows(np.zeros((0, 30)), phi) == []
 
 
 def test_diagnostic_median_error_grows_with_noise():

@@ -207,3 +207,43 @@ def test_manifest_round_trip(tmp_path):
     write_manifest({"grid": {}}, path)
     with pytest.raises(ValueError, match="images"):
         read_manifest(path)
+
+
+_GOOD_ENTRY = {"id": "a", "image": "images/a.pgm", "annotations": "annotations/a.csv"}
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("", "manifest must be a mapping, got NoneType"),
+        ("- 1\n- 2\n", "manifest must be a mapping, got list"),
+        ("grid: [\n", "not valid YAML"),
+        ("grid: {width: 64, height: 64}\n", "missing 'images'"),
+        ("grid: 64\nimages: []\n", "grid.width must be a positive integer"),
+        ("grid: {width: 0, height: 64}\nimages: []\n", "grid.width must be a positive integer, got 0"),
+        ("grid: {width: 64, height: '64'}\nimages: []\n", "grid.height must be a positive integer, got '64'"),
+        ("grid: {width: 64, height: true}\nimages: []\n", "grid.height must be a positive integer, got True"),
+        ("grid: {width: 64}\nimages: []\n", "grid.height must be a positive integer, got None"),
+        ("grid: {width: 64, height: 64}\nimages: {}\n", "'images' must be a list"),
+        ("grid: {width: 64, height: 64}\nimages: [a.pgm]\n", r"images\[0\] must be a mapping"),
+        ("grid: {width: 64, height: 64}\nsplits: {test: null}\nimages: []\n", "'splits' must map"),
+    ],
+)
+def test_manifest_shape_errors_name_the_file(tmp_path, text, reason):
+    path = tmp_path / "manifest.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=reason) as exc:
+        read_manifest(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("key", ["id", "image", "annotations"])
+def test_manifest_entry_errors_name_the_index(tmp_path, key):
+    path = tmp_path / "manifest.yaml"
+    missing = {k: v for k, v in _GOOD_ENTRY.items() if k != key}
+    numeric = dict(_GOOD_ENTRY, **{key: 7})
+    for bad in (missing, numeric):
+        write_manifest({"grid": {"width": 64, "height": 64}, "images": [_GOOD_ENTRY, bad]}, path)
+        with pytest.raises(ValueError, match=rf"images\[1\] needs a string '{key}'") as exc:
+            read_manifest(path)
+        assert str(exc.value).startswith(f"{path}: ")
