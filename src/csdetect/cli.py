@@ -241,8 +241,10 @@ def entry(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # a missing path, a directory where a file belongs, no permission
+        what = "missing file" if isinstance(exc, FileNotFoundError) else "cannot read file"
+        print(f"{what}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         # bad values that only surface mid-run, e.g. infeasible synthesis

@@ -136,7 +136,16 @@ def load_annotations_csv(path, grid: ImageGrid) -> AnnotationSet:
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["x", "y"]:
             raise ValueError(f"{path}: expected header 'x,y', got {header}")
-        cells = [(float(row[0]), float(row[1])) for row in reader if row]
+        cells = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValueError(f"{path}: line {reader.line_num}: expected 2 fields, got {len(row)}")
+            try:
+                cells.append((float(row[0]), float(row[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return AnnotationSet(grid=grid, cells=tuple(cells))
 
 
@@ -172,9 +181,9 @@ class SparseLocationSignal:
         if indices.size:
             if indices[0] < 1 or indices[-1] > self.length:
                 raise ValueError("indices must lie in [1, length]")
-            if np.any(np.diff(indices) <= 0):
+            if (indices[1:] <= indices[:-1]).any():
                 raise ValueError("indices must be strictly increasing")
-        if np.any(values == 0.0) or not np.all(np.isfinite(values)):
+        if not (values.all() and np.isfinite(values).all()):
             raise ValueError("stored values must be nonzero and finite")
 
     @property

@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import DetectedPoint, DetectionResult, ImageGrid, SparseLocationSignal
 from .encoder import AxisLayout, ObservationAxis
-from .recovery import RecoveryParams, SolverTrace, bp_recover_rows, omp_recover, operator_norm_sq
-from .recovery import bp_recover  # noqa: F401  unused; perfbench/tracing.py wraps it by this name
+from .recovery import RecoveryParams, SolverTrace, bp_recover_rows, omp_recover_rows, operator_norm_sq
+from .recovery import bp_recover, omp_recover  # noqa: F401  unused; perfbench/tracing.py wraps them by these names
 from .sensing import SensingMatrix
 
 __all__ = [
@@ -219,11 +219,11 @@ def decode_scheme2(
 ) -> DetectionResult:
     """Full axis-route decode of a concatenated measurement vector.
 
-    Recover every axis's sparse signal (basis pursuit solves the L blocks
-    together in one batched run, OMP one block at a time) and back-project
-    each to candidate points. Pooled candidates are noise-filtered and
-    mean-shift clustered; clusters with support >= min_support become
-    detections at the cluster mean. A non-converging axis is logged and
+    Recover every axis's sparse signal (either solver recovers the L blocks
+    together in one batched run) and back-project each to candidate
+    points. Pooled candidates are noise-filtered and mean-shift clustered;
+    clusters with support >= min_support become detections at the cluster
+    mean. A non-converging axis is logged and
     decoded with its best iterate rather than aborting the others. A
     non-finite prediction is rejected before any solve.
     """
@@ -250,9 +250,7 @@ def decode_scheme2(
         norm_sq = operator_norm_sq(phi.entries)
         signals = bp_recover_rows(blocks, phi, recovery, traces, norm_sq)
     else:
-        signals = [
-            omp_recover(block, phi, recovery, trace=trace) for block, trace in zip(blocks, traces)
-        ]
+        signals = omp_recover_rows(blocks, phi, recovery, traces)
 
     candidates = []
     axis_records = []

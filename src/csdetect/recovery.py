@@ -1,17 +1,19 @@
 """L1 sparse recovery from compressed measurements.
 
 Two solvers with the same contract (measurement vector in, sparse location
-signal out):
+signal out). Each solves a stack of problems against one matrix together,
+one row per problem, with matrix-matrix products (omp_recover_rows,
+bp_recover_rows); omp_recover and bp_recover are their one-row calls.
 
-* omp_recover: orthogonal matching pursuit, greedy column selection with a
-  least-squares refit of the active set each round.
-* bp_recover: basis pursuit denoising, min ||f||_1 s.t. ||y - Phi f|| <= eps,
+* omp: orthogonal matching pursuit, greedy column selection with a
+  least-squares refit of the active set each round. Every row of the stack
+  gains one atom per step and the refits are one batched solve of the
+  normal equations.
+* bp: basis pursuit denoising, min ||f||_1 s.t. ||y - Phi f|| <= eps,
   solved by monotone accelerated shrinkage-thresholding with lambda
   continuation and a final least-squares debias on the detected support.
   eps = 0 asks for the equality-constrained program and is handled with a
-  tiny internal floor. bp_recover_rows solves a stack of such problems
-  against one matrix together, with matrix-matrix products; bp_recover is
-  its one-row call.
+  tiny internal floor.
 
 Both treat residual tolerances relative to ||y|| so recovery commutes with
 positive rescaling of the measurements.
@@ -33,6 +35,7 @@ __all__ = [
     "SolverTrace",
     "default_max_sparsity",
     "omp_recover",
+    "omp_recover_rows",
     "bp_recover",
     "bp_recover_rows",
     "lasso_shrinkage",
@@ -117,55 +120,120 @@ def omp_recover(
     params: RecoveryParams | None = None,
     trace: SolverTrace | None = None,
 ) -> SparseLocationSignal:
-    """Greedy pursuit: pick the column most correlated with the residual,
-    refit the active set by least squares, repeat until the residual is
-    below tolerance or the sparsity cap is hit."""
+    """Greedy pursuit of one measurement vector: the one-row call of
+    omp_recover_rows."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (phi.rows,):
+        raise ValueError(f"measurement length {y.shape} does not match {phi.rows} rows")
+    traces = None if trace is None else [trace]
+    return omp_recover_rows(y[None, :], phi, params, traces)[0]
+
+
+def omp_recover_rows(
+    ys: np.ndarray,
+    phi: SensingMatrix,
+    params: RecoveryParams | None = None,
+    traces: list | None = None,
+) -> list:
+    """Orthogonal matching pursuit for every row of ys (rows, M) against one
+    matrix: pick the column most correlated with the residual, refit the
+    active set by least squares, repeat until the residual is within
+    residual_tol * ||y|| or the sparsity cap is hit.
+
+    All live rows step together, so at step k every row holds k atoms: one
+    residual-by-matrix product gives every row's correlations, and one
+    batched solve of the (rows, k, k) normal equations refits every row on
+    its own support. A row leaves the stack once it is within tolerance
+    (converged), or when its best correlation is exactly 0 (the residual is
+    orthogonal to every remaining column; the row keeps its current fit).
+    `traces`, when given, holds one SolverTrace per row.
+    """
     params = params or RecoveryParams()
     a = phi.entries
     m, n = a.shape
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (m,):
-        raise ValueError(f"measurement length {y.shape} does not match {m} rows")
-    norm_y = float(np.linalg.norm(y))
-    if norm_y == 0.0:
-        return _zero_signal(n, trace)
-    tol = params.residual_tol * norm_y
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.ndim != 2 or ys.shape[1] != m:
+        raise ValueError(f"measurement stack {ys.shape} does not have {m} columns")
+    rows = ys.shape[0]
+    if traces is not None and len(traces) != rows:
+        raise ValueError(f"{len(traces)} traces for {rows} measurement rows")
+    signals: list = [None] * rows
+    tol = np.zeros(rows)
+    for r, y in enumerate(ys):
+        norm_y = float(np.linalg.norm(y))
+        if norm_y == 0.0:
+            signals[r] = _zero_signal(n, None if traces is None else traces[r])
+        tol[r] = params.residual_tol * norm_y
     kmax = params.max_sparsity or default_max_sparsity(m, n)
     kmax = min(kmax, m, params.max_iterations)
 
-    active: list[int] = []
-    in_active = np.zeros(n, dtype=bool)
-    coeffs = np.zeros(0)
-    residual = y.copy()
-    converged = False
-    while len(active) < kmax:
-        corr = a.T @ residual
-        corr[in_active] = 0.0
-        j = int(np.argmax(np.abs(corr)))
-        if corr[j] == 0.0:
-            break  # residual orthogonal to every remaining column
-        active.append(j)
-        in_active[j] = True
-        coeffs = np.linalg.lstsq(a[:, active], y, rcond=None)[0]
-        residual = y - a[:, active] @ coeffs
-        rnorm = float(np.linalg.norm(residual))
-        if trace is not None:
-            trace.residuals.append(rnorm)
-            trace.iterations += 1
-        if rnorm <= tol:
-            converged = True
+    columns = a.T  # columns[j] is column j of Phi
+    active = np.array([r for r in range(rows) if signals[r] is None], dtype=np.int64)
+    y_act = ys[active]
+    aty = y_act @ a  # Phi^T y: each row's refit right-hand sides
+    residual = y_act.copy()
+    # per row: chosen columns in pick order, the columns themselves, their
+    # Gram matrix and right-hand sides, grown by one atom a step
+    support = np.zeros((active.size, kmax), dtype=np.int64)
+    atoms = np.zeros((active.size, kmax, m))
+    gram = np.zeros((active.size, kmax, kmax))
+    rhs = np.zeros((active.size, kmax, 1))
+    coeffs = np.zeros((active.size, 0))
+
+    def finish(leaving, k, converged):
+        # rows at positions `leaving` of the stack stop with k atoms
+        for i in np.flatnonzero(leaving):
+            r = int(active[i])
+            final_residual = float(np.linalg.norm(residual[i]))
+            if not converged:
+                log.debug(
+                    "omp did not reach tolerance: residual %.3e > %.3e with %d atoms",
+                    final_residual, tol[r], k,
+                )
+            if traces is not None:
+                traces[r].converged = converged
+                traces[r].final_residual = final_residual
+            x = np.zeros(n)
+            x[support[i, :k]] = coeffs[i]
+            signals[r] = _to_signal(x)
+
+    for k in range(kmax):  # every row of the stack holds k atoms
+        if not active.size:
             break
-    if not converged:
-        log.debug(
-            "omp did not reach tolerance: residual %.3e > %.3e with %d atoms",
-            float(np.linalg.norm(residual)), tol, len(active),
-        )
-    if trace is not None:
-        trace.converged = converged
-        trace.final_residual = float(np.linalg.norm(residual))
-    x = np.zeros(n)
-    x[active] = coeffs
-    return _to_signal(x)
+        at = np.arange(active.size)
+        corr = residual @ a
+        corr[at[:, None], support[:, :k]] = 0.0
+        picks = np.argmax(np.abs(corr), axis=1)
+        exhausted = corr[at, picks] == 0.0
+        if exhausted.any():
+            finish(exhausted, k, False)
+            keep = ~exhausted
+            active, y_act, aty, residual, support, atoms, gram, rhs, coeffs, picks = (
+                v[keep] for v in (active, y_act, aty, residual, support, atoms, gram, rhs, coeffs, picks)
+            )
+            at = np.arange(active.size)
+        support[:, k] = picks
+        atoms[:, k] = columns[picks]
+        cross = (atoms[:, : k + 1] @ atoms[:, k, :, None])[:, :, 0]
+        gram[:, k, : k + 1] = cross
+        gram[:, : k + 1, k] = cross
+        rhs[:, k, 0] = aty[at, picks]
+        coeffs = np.linalg.solve(gram[:, : k + 1, : k + 1], rhs[:, : k + 1])[:, :, 0]
+        residual = y_act - (coeffs[:, None, :] @ atoms[:, : k + 1])[:, 0, :]
+        rnorm = np.linalg.norm(residual, axis=1)
+        if traces is not None:
+            for r, value in zip(active.tolist(), rnorm.tolist()):
+                traces[r].residuals.append(value)
+                traces[r].iterations += 1
+        done = rnorm <= tol[active]
+        if done.any():
+            finish(done, k + 1, True)
+            keep = ~done
+            active, y_act, aty, residual, support, atoms, gram, rhs, coeffs = (
+                v[keep] for v in (active, y_act, aty, residual, support, atoms, gram, rhs, coeffs)
+            )
+    finish(np.ones(active.size, dtype=bool), kmax, False)  # rows stopped by the cap
+    return signals
 
 
 def operator_norm_sq(a: np.ndarray, iterations: int = 16) -> float:

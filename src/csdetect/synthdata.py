@@ -255,7 +255,7 @@ def read_manifest(path) -> dict:
     """Load a manifest and check its shape up front: a mapping with a
     positive integer grid size and a list of image entries, each a mapping
     with string id, image and annotations paths; optional splits map names
-    to lists of ids. Every failure is a ValueError naming the file."""
+    to lists of string ids. Every failure is a ValueError naming the file."""
     with open(path) as fh:
         try:
             manifest = yaml.safe_load(fh)
@@ -283,4 +283,8 @@ def read_manifest(path) -> dict:
     splits = manifest.get("splits", {})
     if not isinstance(splits, dict) or not all(isinstance(ids, list) for ids in splits.values()):
         raise ValueError(f"{path}: 'splits' must map split names to lists of image ids")
+    for name, ids in splits.items():
+        bad = [image_id for image_id in ids if not isinstance(image_id, str)]
+        if bad:
+            raise ValueError(f"{path}: split '{name}' holds non-string image ids {bad!r}")
     return manifest

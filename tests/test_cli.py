@@ -407,13 +407,20 @@ def _drop_annotations(manifest):
     manifest.write_text(yaml.safe_dump(doc))
 
 
+def _nest_split_id(manifest):
+    doc = yaml.safe_load(manifest.read_text())
+    doc["splits"]["test"] = [[image_id] for image_id in doc["splits"]["test"]]
+    manifest.write_text(yaml.safe_dump(doc))
+
+
 @pytest.mark.parametrize(
     "spoil, reason",
     [
         (lambda manifest: manifest.write_text(""), "manifest must be a mapping"),
         (_drop_annotations, "images[1] needs a string 'annotations'"),
+        (_nest_split_id, "split 'test' holds non-string image ids [['test_000'], ['test_001']]"),
     ],
-    ids=["empty", "no-annotations"],
+    ids=["empty", "no-annotations", "list-split-id"],
 )
 def test_cli_rejects_bad_manifest(workspace, tmp_path, capsys, spoil, reason):
     data = tmp_path / "data"
@@ -426,4 +433,38 @@ def test_cli_rejects_bad_manifest(workspace, tmp_path, capsys, spoil, reason):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {manifest}: {reason}")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [("17.5", "expected 2 fields, got 1"), ("abc,3", "could not convert string to float: 'abc'")],
+    ids=["one-field", "not-a-number"],
+)
+def test_cli_rejects_malformed_annotation_row(workspace, tmp_path, capsys, row, reason):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    annotations = data / "annotations" / "test_000.csv"
+    annotations.write_text(f"x,y\n10,12\n{row}\n")
+    out = tmp_path / "out"
+    assert entry(["run", "--config", workspace["config"],
+                  "--manifest", str(data / "manifest.yaml"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {annotations}: line 3: {reason}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_image_path_that_is_a_directory(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    image = data / "images" / "test_000.pgm"
+    image.unlink()
+    image.mkdir()
+    out = tmp_path / "out"
+    assert entry(["run", "--config", workspace["config"],
+                  "--manifest", str(data / "manifest.yaml"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read file: ")
+    assert str(image) in err
     assert not out.exists()

@@ -375,6 +375,26 @@ def test_decode_scheme2_bp_axes_match_one_axis_solves():
         assert record["trace"].converged == trace.converged
 
 
+def test_decode_scheme2_omp_axes_match_one_axis_solves():
+    grid = ImageGrid(130, 130)
+    layout = build_axis_layout(grid, 27)
+    phi = make_sensing_matrix(112, layout.bin_count, seed=4)
+    recovery = RecoveryParams(max_sparsity=10, noise_budget_frac=0.1)
+    rng = np.random.default_rng(8)
+    ann = _random_cells(grid, 9, min_sep=24.0, rng=rng, pad=8.0)
+    y_hat = oracle_predict(encode_scheme2(ann, layout, phi), sigma_rel=0.05, seed=8)
+    diag = {}
+    decode_scheme2(y_hat, layout, phi, recovery=recovery, solver="omp", diagnostics=diag)
+    assert [record["axis"] for record in diag["axes"]] == list(range(1, 28))
+    for record in diag["axes"]:
+        trace = SolverTrace()
+        one = omp_recover(y_hat.block(record["axis"] - 1), phi, recovery, trace=trace)
+        assert np.array_equal(record["signal"].indices, one.indices)
+        np.testing.assert_allclose(record["signal"].values, one.values, rtol=1e-12, atol=0.0)
+        assert record["trace"].iterations == trace.iterations
+        assert record["trace"].converged == trace.converged
+
+
 @pytest.mark.parametrize("solver", ["bp", "omp"])
 def test_decode_scheme2_rejects_non_finite_before_any_solve(monkeypatch, solver):
     grid = ImageGrid(24, 24)
@@ -389,7 +409,7 @@ def test_decode_scheme2_rejects_non_finite_before_any_solve(monkeypatch, solver)
         raise AssertionError("a solver ran on a non-finite prediction")
 
     monkeypatch.setattr(decoder, "bp_recover_rows", no_solve)
-    monkeypatch.setattr(decoder, "omp_recover", no_solve)
+    monkeypatch.setattr(decoder, "omp_recover_rows", no_solve)
     with pytest.raises(ValueError, match="^non-finite prediction on axes 3,6$"):
         decode_scheme2(y_hat, layout, phi, solver=solver)
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csdetect.recovery import (
     RecoveryParams,
@@ -13,9 +15,10 @@ from csdetect.recovery import (
     default_max_sparsity,
     lasso_shrinkage,
     omp_recover,
+    omp_recover_rows,
     operator_norm_sq,
 )
-from csdetect.sensing import make_sensing_matrix
+from csdetect.sensing import SensingMatrix, make_sensing_matrix
 
 
 def _spike_signal(n, k, rng, values=None):
@@ -75,6 +78,184 @@ def test_omp_rejects_wrong_measurement_length():
     phi = make_sensing_matrix(30, 100, seed=1)
     with pytest.raises(ValueError):
         omp_recover(np.zeros(29), phi)
+
+
+def _omp_one_at_a_time(y, phi, params):
+    """Reference OMP on one measurement vector: a fresh least-squares (SVD)
+    refit of the whole active set after every atom. Returns the dense
+    solution and a filled SolverTrace."""
+    a = phi.entries
+    m, n = a.shape
+    trace = SolverTrace()
+    x = np.zeros(n)
+    norm_y = float(np.linalg.norm(y))
+    if norm_y == 0.0:
+        trace.converged, trace.final_residual = True, 0.0
+        return x, trace
+    tol = params.residual_tol * norm_y
+    kmax = min(params.max_sparsity or default_max_sparsity(m, n), m, params.max_iterations)
+    active = []
+    coeffs = np.zeros(0)
+    residual = y.copy()
+    while len(active) < kmax:
+        corr = a.T @ residual
+        corr[active] = 0.0
+        j = int(np.argmax(np.abs(corr)))
+        if corr[j] == 0.0:
+            break
+        active.append(j)
+        coeffs = np.linalg.lstsq(a[:, active], y, rcond=None)[0]
+        residual = y - a[:, active] @ coeffs
+        trace.residuals.append(float(np.linalg.norm(residual)))
+        trace.iterations += 1
+        if trace.residuals[-1] <= tol:
+            trace.converged = True
+            break
+    trace.final_residual = float(np.linalg.norm(residual))
+    x[active] = coeffs
+    return x, trace
+
+
+def _assert_matches_reference(y, phi, params, signal, trace):
+    x, ref = _omp_one_at_a_time(y, phi, params)
+    support = np.flatnonzero(x)
+    assert np.array_equal(signal.indices, support + 1)
+    # relative to the row's peak: an atom picked on the way can refit to
+    # rounding noise
+    peak = float(np.max(np.abs(x), initial=0.0))
+    np.testing.assert_allclose(signal.values, x[support], rtol=1e-10, atol=1e-10 * peak)
+    assert trace.iterations == ref.iterations
+    assert trace.converged == ref.converged
+    # a converged residual is rounding noise, so compare against ||y||
+    floor = 1e-10 * float(np.linalg.norm(y))
+    np.testing.assert_allclose(trace.residuals, ref.residuals, rtol=1e-10, atol=floor)
+    np.testing.assert_allclose(trace.final_residual, ref.final_residual, rtol=1e-10, atol=floor)
+
+
+def _omp_stack(phi, rng):
+    """All-zero rows, exactly sparse rows of 1 to 4 atoms, noisy sparse rows
+    and dense rows with no sparse explanation."""
+    a = phi.entries
+    m, n = a.shape
+    rows = [np.zeros(m)]
+    for k in (1, 2, 3, 4):
+        x, _ = _spike_signal(n, k, rng, values=rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.5, 2.0, size=k))
+        rows.append(a @ x)
+    rows.append(np.zeros(m))
+    for k in (2, 5):
+        x, _ = _spike_signal(n, k, rng)
+        y = a @ x
+        noise = rng.normal(size=m)
+        rows.append(y + noise * (0.05 * np.linalg.norm(y) / np.linalg.norm(noise)))
+    rows.extend(rng.normal(size=(2, m)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        RecoveryParams(),
+        RecoveryParams(max_sparsity=6),
+        RecoveryParams(max_sparsity=6, max_iterations=3),
+        RecoveryParams(max_sparsity=30),
+    ],
+    ids=["default-cap", "cap6", "cap6-iter3", "cap-M"],
+)
+def test_omp_rows_match_one_at_a_time_reference(params):
+    phi = make_sensing_matrix(30, 100, seed=31)
+    ys = _omp_stack(phi, np.random.default_rng(32))
+    traces = [SolverTrace() for _ in ys]
+    stacked = omp_recover_rows(ys, phi, params, traces)
+    assert len(stacked) == len(ys)
+    for y, signal, trace in zip(ys, stacked, traces):
+        _assert_matches_reference(y, phi, params, signal, trace)
+    # the stack really mixes the cases: all-zero rows, rows that converge
+    # before the cap and rows that stop at it
+    kmax = min(params.max_sparsity or default_max_sparsity(30, 100), params.max_iterations)
+    assert (traces[0].iterations, traces[0].converged) == (0, True)
+    assert any(t.converged and 0 < t.iterations < kmax for t in traces)
+    assert any(t.iterations == kmax for t in traces)
+    if kmax < 30:
+        assert any(not t.converged and t.iterations == kmax for t in traces)
+
+
+def test_omp_row_does_not_depend_on_its_stack():
+    phi = make_sensing_matrix(30, 100, seed=33)
+    ys = _omp_stack(phi, np.random.default_rng(34))
+    params = RecoveryParams(max_sparsity=8)
+    traces = [SolverTrace() for _ in ys]
+    forward = omp_recover_rows(ys, phi, params, traces)
+    back_traces = [SolverTrace() for _ in ys]
+    backward = omp_recover_rows(ys[::-1], phi, params, back_traces[::-1])[::-1]
+    for y, in_stack, reversed_stack, trace, back_trace in zip(ys, forward, backward, traces, back_traces):
+        alone_trace = SolverTrace()
+        alone = omp_recover(y, phi, params, trace=alone_trace)
+        # atoms that refit to rounding noise may differ in their last bits
+        peak = float(np.max(np.abs(alone.values), initial=0.0))
+        for other, other_trace in ((in_stack, trace), (reversed_stack, back_trace)):
+            assert np.array_equal(other.indices, alone.indices)
+            np.testing.assert_allclose(other.values, alone.values, rtol=1e-12, atol=1e-12 * peak)
+            assert other_trace.iterations == alone_trace.iterations
+            assert other_trace.converged == alone_trace.converged
+
+
+def test_omp_row_orthogonal_to_every_column_stops_empty():
+    # a zero last row leaves e_M orthogonal to every column: the best
+    # correlation is exactly 0 before the first atom
+    entries = make_sensing_matrix(12, 40, seed=35).entries.copy()
+    entries[-1] = 0.0
+    phi = SensingMatrix(entries=entries, seed=35)
+    y = np.zeros(12)
+    y[-1] = 2.0
+    ys = np.array([y, entries[:, 3] + entries[:, 7]])
+    traces = [SolverTrace(), SolverTrace()]
+    signals = omp_recover_rows(ys, phi, RecoveryParams(max_sparsity=4), traces)
+    assert signals[0].nnz == 0
+    assert (traces[0].iterations, traces[0].converged, traces[0].final_residual) == (0, False, 2.0)
+    assert list(signals[1].indices) == [4, 8]
+    assert traces[1].converged
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(4, 16),
+    extra_cols=st.integers(1, 40),
+    kinds=st.lists(st.sampled_from(["zero", "sparse", "noisy", "dense"]), min_size=1, max_size=8),
+    cap=st.one_of(st.none(), st.integers(1, 16)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_omp_rows_match_reference_on_random_stacks(m, extra_cols, kinds, cap, seed):
+    n = m + extra_cols
+    rng = np.random.default_rng(seed)
+    phi = make_sensing_matrix(m, n, seed=int(rng.integers(2**31)))
+    rows = []
+    for kind in kinds:
+        if kind == "zero":
+            rows.append(np.zeros(m))
+        elif kind == "dense":
+            rows.append(rng.normal(size=m))
+        else:
+            x, _ = _spike_signal(n, int(rng.integers(1, m + 1)), rng, values=None)
+            y = phi.entries @ x
+            if kind == "noisy":
+                y = y + 0.05 * rng.normal(size=m)
+            rows.append(y)
+    ys = np.array(rows)
+    params = RecoveryParams(max_sparsity=cap)
+    traces = [SolverTrace() for _ in ys]
+    for y, signal, trace in zip(ys, omp_recover_rows(ys, phi, params, traces), traces):
+        _assert_matches_reference(y, phi, params, signal, trace)
+
+
+def test_omp_rows_validation():
+    phi = make_sensing_matrix(30, 100, seed=1)
+    with pytest.raises(ValueError):
+        omp_recover_rows(np.zeros(30), phi)
+    with pytest.raises(ValueError):
+        omp_recover_rows(np.zeros((2, 29)), phi)
+    with pytest.raises(ValueError):
+        omp_recover_rows(np.zeros((2, 30)), phi, traces=[SolverTrace()])
+    assert omp_recover_rows(np.zeros((0, 30)), phi) == []
 
 
 def test_operator_norm_estimate_brackets_truth():
