@@ -38,6 +38,13 @@ from .sensing import empirical_rip_check
 log = logging.getLogger(__name__)
 
 
+def _parse_offset(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ConfigError(f"--offsets: {token!r} is not an integer") from None
+
+
 def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
     run = config.run
     if args.seed is not None:
@@ -46,7 +53,7 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
         run = dataclasses.replace(run, workers=args.workers)
     config = dataclasses.replace(config, run=run)
     if getattr(args, "offsets", None) is not None:
-        offsets = tuple(int(tok) for tok in args.offsets.split(",") if tok != "")
+        offsets = tuple(_parse_offset(tok) for tok in args.offsets.split(",") if tok != "")
         config = dataclasses.replace(
             config, patches=dataclasses.replace(config.patches, offsets=offsets)
         )

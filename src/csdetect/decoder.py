@@ -8,7 +8,8 @@ axis into the image plane, drop near-axis noise (recovery errors produce
 entries with tiny distances, true cells sit at least the encoder margin
 away), cluster the surviving candidates with flat-kernel mean shift, and
 keep clusters backed by enough axes. Detection = mean of the cluster's
-candidates, support = how many candidates agreed.
+candidates, support = how many candidates agreed. Votes are rows of an
+(n, 3) float array (x, y, |d|), pooled across axes in axis order.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .recovery import bp_recover, omp_recover  # noqa: F401  unused; perfbench/t
 from .sensing import SensingMatrix
 
 __all__ = [
-    "CandidatePoint",
     "DecodeParams",
     "decode_scheme1",
     "backproject_axis",
@@ -40,20 +40,6 @@ log = logging.getLogger(__name__)
 
 _SHIFT_TOL = 1e-3
 _SHIFT_MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class CandidatePoint:
-    """One back-projected location vote from one axis."""
-
-    x: float
-    y: float
-    source_axis: int
-    magnitude: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("candidate coordinates must be finite")
 
 
 @dataclass(frozen=True)
@@ -120,8 +106,11 @@ def decode_scheme1(f_hat: SparseLocationSignal, grid: ImageGrid, threshold: floa
     return DetectionResult(points=tuple(points))
 
 
-def backproject_axis(f_hat_l: SparseLocationSignal, axis: ObservationAxis) -> list:
-    """Each (bin r, distance d) entry votes for origin + r*dir + d*normal."""
+def backproject_axis(f_hat_l: SparseLocationSignal, axis: ObservationAxis) -> np.ndarray:
+    """Each (bin r, distance d) entry votes for origin + r*dir + d*normal.
+
+    Returns one row per vote, in bin order: x, y and the vote's magnitude |d|.
+    """
     if f_hat_l.length != axis.bin_count:
         raise ValueError(
             f"signal length {f_hat_l.length} does not match bin count {axis.bin_count}"
@@ -129,29 +118,29 @@ def backproject_axis(f_hat_l: SparseLocationSignal, axis: ObservationAxis) -> li
     ox, oy = axis.origin
     dx, dy = axis.direction
     nx, ny = axis.normal
-    return [
-        CandidatePoint(
-            x=ox + r * dx + d * nx,
-            y=oy + r * dy + d * ny,
-            source_axis=axis.index,
-            magnitude=abs(float(d)),
-        )
-        for r, d in zip(f_hat_l.indices, f_hat_l.values)
-    ]
+    r, d = f_hat_l.indices, f_hat_l.values
+    votes = np.empty((r.size, 3))
+    votes[:, 0] = ox + r * dx + d * nx
+    votes[:, 1] = oy + r * dy + d * ny
+    np.abs(d, out=votes[:, 2])
+    if not np.isfinite(votes[:, :2]).all():
+        raise ValueError("candidate coordinates must be finite")
+    return votes
 
 
-def filter_noise_candidates(candidates, grid: ImageGrid, noise_margin: float) -> list:
+def filter_noise_candidates(candidates: np.ndarray, grid: ImageGrid, noise_margin: float) -> np.ndarray:
     """Drop votes that hug their axis (magnitude below the margin) or fall
-    outside the margin-expanded image rectangle."""
-    return [
-        c
-        for c in candidates
-        if c.magnitude >= noise_margin and grid.contains(c.x, c.y, margin=noise_margin)
-    ]
+    outside the margin-expanded image rectangle (bounds inclusive)."""
+    x, y, magnitude = candidates[:, 0], candidates[:, 1], candidates[:, 2]
+    low = 1.0 - noise_margin
+    keep = (magnitude >= noise_margin) & (low <= x) & (x <= grid.width + noise_margin)
+    keep &= (low <= y) & (y <= grid.height + noise_margin)
+    return candidates[keep]
 
 
-def meanshift_cluster(candidates, bandwidth: float):
-    """Flat-kernel mean shift over candidate positions.
+def meanshift_cluster(candidates: np.ndarray, bandwidth: float):
+    """Flat-kernel mean shift over candidate positions, the first two
+    columns of an (n, 2+) array.
 
     Every candidate iterates to the mean of its bandwidth-neighbors among
     the original positions until it moves less than 1e-3 px. Trajectories
@@ -164,9 +153,9 @@ def meanshift_cluster(candidates, bandwidth: float):
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be > 0")
-    if not candidates:
+    if not len(candidates):
         return []
-    pts = np.array([(c.x, c.y) for c in candidates], dtype=np.float64)
+    pts = np.array(candidates[:, :2], dtype=np.float64)
     modes = pts.copy()
     active = np.arange(len(pts))
     bw2 = bandwidth * bandwidth
@@ -259,7 +248,7 @@ def decode_scheme2(
         if not trace.converged:
             stalled.append(axis.index)
         votes = backproject_axis(f_hat_l, axis)
-        candidates.extend(votes)
+        candidates.append(votes)
         if diagnostics is not None:
             axis_records.append(
                 {"axis": axis.index, "trace": trace, "signal": f_hat_l, "candidates": votes}
@@ -271,7 +260,7 @@ def decode_scheme2(
             "decoding with their best iterates",
             len(stalled), layout.count, ",".join(map(str, stalled)),
         )
-    kept = filter_noise_candidates(candidates, layout.grid, params.noise_margin)
+    kept = filter_noise_candidates(np.concatenate(candidates), layout.grid, params.noise_margin)
     clusters = meanshift_cluster(kept, params.bandwidth)
     points = tuple(
         DetectedPoint(x=cx, y=cy, support=support)

@@ -191,19 +191,52 @@ def build_axis_layout(grid: ImageGrid, count: int, margin: float | None = None) 
     return AxisLayout(axes=tuple(axes), grid=grid, margin=margin)
 
 
-def project_to_axis(cell, axis: ObservationAxis) -> tuple:
-    """(bin, signed distance) of a point on one axis.
+def _project_cells(cells: np.ndarray, axes) -> tuple:
+    """(bins, signed distances) of k points on n axes, both shaped (k, n).
 
-    The bin is the rounded along-axis coordinate clamped to [1, bin_count];
-    the distance is exact. Reconstructing origin + t*direction + d*normal
-    from the unrounded t returns the point, so rounding is the only loss.
+    The bin is the rounded along-axis coordinate floor(t + 0.5) clamped to
+    [1, bin_count]; the distance is exact. Reconstructing
+    origin + t*direction + d*normal from the unrounded t returns the point,
+    so rounding is the only loss.
     """
-    px = cell[0] - axis.origin[0]
-    py = cell[1] - axis.origin[1]
-    t = px * axis.direction[0] + py * axis.direction[1]
-    d = px * axis.normal[0] + py * axis.normal[1]
-    r = min(max(round_half_up(t), 1), axis.bin_count)
+    geometry = np.array([ax.origin + ax.direction + ax.normal for ax in axes])  # (n, 6)
+    px = cells[:, 0:1] - geometry[:, 0]
+    py = cells[:, 1:2] - geometry[:, 1]
+    t = px * geometry[:, 2] + py * geometry[:, 3]
+    d = px * geometry[:, 4] + py * geometry[:, 5]
+    if not np.isfinite(t).all():
+        raise ValueError("cell coordinates must be finite")
+    bin_counts = np.array([ax.bin_count for ax in axes])
+    r = np.clip(np.floor(t + 0.5), 1, bin_counts).astype(np.int64)
     return r, d
+
+
+def _axis_entries(annotations: AnnotationSet, axes) -> tuple:
+    """Every axis's stored (bin, distance) entries, resolved for bin conflicts.
+
+    Returns (axis positions, bins, distances) sorted by axis position, then
+    bin, and the per-axis count of cells that lost a bin conflict. Within
+    one (axis, bin) group the cell with the smallest (|d|, x, y) wins.
+    """
+    cells = annotations.coords()
+    r, d = _project_cells(cells, axes)
+    k, n = r.shape
+    pos = np.tile(np.arange(n), k)
+    r, d = r.ravel(), d.ravel()
+    order = np.lexsort((np.repeat(cells[:, 1], n), np.repeat(cells[:, 0], n), np.abs(d), r, pos))
+    pos, r, d = pos[order], r[order], d[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (pos[1:] != pos[:-1]) | (r[1:] != r[:-1])
+    pos, r, d = pos[first], r[first], d[first]
+    if not (d.all() and np.isfinite(d).all()):
+        raise ValueError("a cell lies on an observation axis: stored distances must be nonzero and finite")
+    return pos, r, d, k - np.bincount(pos, minlength=n)
+
+
+def project_to_axis(cell, axis: ObservationAxis) -> tuple:
+    """(bin, signed distance) of one point on one axis."""
+    r, d = _project_cells(np.array([cell], dtype=np.float64), (axis,))
+    return int(r[0, 0]), float(d[0, 0])
 
 
 def axis_signal(annotations: AnnotationSet, axis: ObservationAxis) -> SparseLocationSignal:
@@ -213,37 +246,34 @@ def axis_signal(annotations: AnnotationSet, axis: ObservationAxis) -> SparseLoca
     distance wins (ties: smaller x, then smaller y); the loser is counted
     in collapsed_duplicates and will still be seen by other axes.
     """
-    best = {}
-    collapsed = 0
-    for cx, cy in annotations.cells:
-        r, d = project_to_axis((cx, cy), axis)
-        key = (abs(d), cx, cy)
-        if r in best:
-            collapsed += 1
-            if key < best[r][0]:
-                best[r] = (key, d)
-        else:
-            best[r] = (key, d)
-    indices = np.sort(np.fromiter(best.keys(), dtype=np.int64, count=len(best)))
-    values = np.array([best[int(r)][1] for r in indices])
+    _, bins, dist, collapsed = _axis_entries(annotations, (axis,))
     return SparseLocationSignal(
         length=axis.bin_count,
-        indices=indices,
-        values=values,
-        collapsed_duplicates=collapsed,
+        indices=bins,
+        values=dist,
+        collapsed_duplicates=int(collapsed[0]),
     )
 
 
 def encode_scheme2(
     annotations: AnnotationSet, layout: AxisLayout, phi: SensingMatrix
 ) -> CompressedSignal:
-    """Project every axis signal and concatenate in axis order."""
-    if phi.cols != layout.bin_count:
+    """Project every axis signal and concatenate in axis order.
+
+    All axis signals are built together as the rows of one dense array;
+    each row is projected on its own, because one matrix product for all
+    rows would sum in another order and change the last bits.
+    """
+    if any(ax.bin_count != phi.cols for ax in layout.axes):
         raise ValueError(
             f"matrix expects signals of length {phi.cols}, layout bins are "
             f"{layout.bin_count}"
         )
-    blocks = [project(phi, axis_signal(annotations, ax).to_dense()) for ax in layout.axes]
+    pos, bins, dist, _ = _axis_entries(annotations, layout.axes)
+    dense = np.zeros((layout.count, phi.cols))
+    dense[pos, bins - 1] = dist
     return CompressedSignal(
-        values=np.concatenate(blocks), block_size=phi.rows, block_count=layout.count
+        values=np.concatenate([project(phi, row) for row in dense]),
+        block_size=phi.rows,
+        block_count=layout.count,
     )

@@ -281,16 +281,16 @@ def _detect_image(
         points.extend(detected.points)
         if diagnostics is not None and diag is not None and "axes" in diag:
             for record in diag["axes"]:
-                for cand in record["candidates"]:
+                for x, y, magnitude in record["candidates"].tolist():
                     diagnostics.append(
                         {
                             "offset": offset,
                             "patch_x": patch.origin[0],
                             "patch_y": patch.origin[1],
                             "axis": record["axis"],
-                            "x": cand.x + patch.origin[0],
-                            "y": cand.y + patch.origin[1],
-                            "magnitude": cand.magnitude,
+                            "x": x + patch.origin[0],
+                            "y": y + patch.origin[1],
+                            "magnitude": magnitude,
                             "iterations": record["trace"].iterations,
                             "converged": record["trace"].converged,
                         }
@@ -352,6 +352,34 @@ def run_detection(
     return results, failures
 
 
+def _warn_idle_offsets(config: PipelineConfig, images) -> None:
+    """Log one warning when an offset tiles no patch on any image (partial
+    tiles are dropped, so it needs images of at least offset + patch size)
+    or when fewer offsets contribute than a merged detection needs."""
+    if not images:
+        return
+    size = config.patches.size
+    offsets = config.patches.offsets
+    shapes = sorted({image.shape for _, image, _ in images})
+    idle = [off for off in offsets if all(off + size > min(shape) for shape in shapes)]
+    contributing = len(offsets) - len(idle)
+    need = config.decode.merge_min_count
+    if not idle and contributing >= need:
+        return
+    problems = []
+    if idle:
+        sizes = ", ".join(f"{w}x{h}" for h, w in shapes)
+        problems.append(
+            f"offsets {','.join(map(str, idle))} tile no {size}-px patch on {sizes} images"
+        )
+    if contributing < need:
+        problems.append(
+            f"{contributing} of {len(offsets)} offsets contribute detections, fewer than "
+            f"the {need} (decode.merge_min_count) a merged detection needs"
+        )
+    log.warning("ensemble: %s", "; ".join(problems))
+
+
 def ensemble_detection(
     config: PipelineConfig,
     codec: Codec,
@@ -362,6 +390,7 @@ def ensemble_detection(
 
     Returns (merged results, per-offset results, failures).
     """
+    _warn_idle_offsets(config, images)
     per_offset = []
     failures = 0
     for offset_index, offset in enumerate(config.patches.offsets):

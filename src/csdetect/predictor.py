@@ -64,12 +64,14 @@ def oracle_predict(y_true: CompressedSignal, sigma_rel: float, seed: int) -> Com
         raise ValueError("sigma_rel must be >= 0")
     rng = np.random.default_rng(seed)
     scale = sigma_rel / math.sqrt(y_true.block_size)
-    noisy = [
-        block + rng.normal(0.0, scale * float(np.linalg.norm(block)), y_true.block_size)
-        for block in y_true.blocks()
-    ]
+    blocks = y_true.values.reshape(y_true.block_count, y_true.block_size)
+    # np.linalg.norm of one block is sqrt(block.dot(block)); a row-wise
+    # reduction would sum in another order
+    norms = np.sqrt([block.dot(block) for block in blocks])
+    # one draw fills the blocks in order, the same stream as one draw per block
+    noisy = blocks + rng.normal(0.0, scale * norms[:, None], blocks.shape)
     return CompressedSignal(
-        values=np.concatenate(noisy),
+        values=noisy,
         block_size=y_true.block_size,
         block_count=y_true.block_count,
     )

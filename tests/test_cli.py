@@ -11,11 +11,16 @@ import yaml
 
 from csdetect.cli import entry
 from csdetect.config import ConfigError, default_config, load_config, save_config
-from csdetect.predictor import init_model, save_model
+from csdetect.predictor import init_model, oracle_predict, save_model
+from csdetect.synthdata import extract_patches
 from csdetect.core import AnnotationSet, ImageGrid
 from csdetect.pipeline import (
+    SALT_ORACLE,
     build_training_examples,
+    decode_signal,
     derive_seed,
+    encode_patch,
+    ensemble_detection,
     generate_dataset,
     load_split,
     make_codec,
@@ -229,6 +234,30 @@ def test_run_detection_reports_non_finite_predictions(tmp_path, caplog, solver):
     assert str(record.exc_info[1]) == "patch at (0, 0): non-finite prediction on axes 1,2,3,4,5,6"
 
 
+@pytest.mark.parametrize("width, offsets, merge_min_count, expected", [
+    (32, [0, 16], 2, "ensemble: offsets 16 tile no 32-px patch on 32x32 images; 1 of 2 offsets "
+                     "contribute detections, fewer than the 2 (decode.merge_min_count) "
+                     "a merged detection needs"),
+    (40, [0, 4, 8, 12], 2, "ensemble: offsets 12 tile no 32-px patch on 40x40 images"),
+    (64, [0, 8, 16], 4, "ensemble: 3 of 3 offsets contribute detections, fewer than the 4 "
+                        "(decode.merge_min_count) a merged detection needs"),
+    (64, [0, 8, 16, 24], 4, None),
+])
+def test_ensemble_warns_once_about_idle_offsets(tmp_path, caplog, width, offsets,
+                                                merge_min_count, expected):
+    doc = dict(SMALL, patches={"size": 32, "offsets": offsets},
+               decode=dict(SMALL["decode"], merge_min_count=merge_min_count))
+    config = load_config(_write_config(tmp_path / "c.yaml", doc))
+    grid = ImageGrid(width, width)
+    images = [(f"img{i}", np.zeros((width, width)), AnnotationSet(grid=grid, cells=((9.0, 9.0),)))
+              for i in range(3)]
+    with caplog.at_level(logging.WARNING, logger="csdetect.pipeline"):
+        merged, _, failures = ensemble_detection(config, make_codec(config), images)
+    assert failures == 0 and len(merged) == 3
+    messages = [r.getMessage() for r in caplog.records if r.name == "csdetect.pipeline"]
+    assert messages == ([expected] if expected else [])
+
+
 # ---------------------------------------------------------------------- CLI
 
 
@@ -275,6 +304,35 @@ def test_cli_run_diagnostics(workspace, tmp_path):
     assert [p.name for p in files] == ["test_000_candidates.csv", "test_001_candidates.csv"]
     header = files[0].read_text().splitlines()[0]
     assert header == "offset,patch_x,patch_y,axis,x,y,magnitude,iterations,converged"
+
+
+def test_diagnostics_rows_match_a_per_axis_recomputation(workspace):
+    config = load_config(workspace["config"])
+    codec = make_codec(config)
+    images = load_split(workspace["manifest"], "test")
+    results, failures = run_detection(config, codec, images, collect_diagnostics=True)
+    assert failures == 0
+    for index, ((_, image, annotations), result) in enumerate(zip(images, results)):
+        expected = []
+        for patch_index, patch in enumerate(extract_patches(image, annotations, 32, (0, 0))):
+            seed = derive_seed(config.run.seed, index, 0, patch_index, SALT_ORACLE)
+            y_hat = oracle_predict(encode_patch(codec, patch.cells), config.predictor.sigma_rel, seed)
+            diag = {}
+            decode_signal(codec, y_hat, config, diagnostics=diag)
+            px, py = patch.origin
+            for axis, record in zip(codec.layout.axes, diag["axes"]):
+                ox, oy = axis.origin
+                dx, dy = axis.direction
+                nx, ny = axis.normal
+                for r, d in zip(record["signal"].indices.tolist(), record["signal"].values.tolist()):
+                    expected.append({
+                        "offset": 0, "patch_x": px, "patch_y": py, "axis": axis.index,
+                        "x": ox + r * dx + d * nx + px, "y": oy + r * dy + d * ny + py,
+                        "magnitude": abs(d), "iterations": record["trace"].iterations,
+                        "converged": record["trace"].converged,
+                    })
+        assert expected
+        assert result["diagnostics"] == expected
 
 
 def test_cli_ensemble(workspace, tmp_path, capsys):
@@ -333,6 +391,14 @@ def test_cli_exit_codes(workspace, tmp_path, capsys):
     assert entry(["run", "--config", workspace["config"], "--offsets", "0,99",
                   "--manifest", workspace["manifest"], "--out", str(tmp_path / "o4")]) == 2
     assert "offset 99" in capsys.readouterr().err
+
+    for command in ("run", "ensemble"):
+        assert entry([command, "--config", workspace["config"], "--offsets", "0,a",
+                      "--manifest", workspace["manifest"], "--out", str(tmp_path / "o6")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --offsets: 'a' is not an integer" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "o6").exists()
 
     infeasible = _write_config(
         tmp_path / "inf.yaml",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csdetect.core import (
     AnnotationSet,
@@ -91,6 +93,25 @@ def test_annotations_csv_round_trip(tmp_path):
     save_annotations_csv(ann, path)
     assert load_annotations_csv(path, grid) == ann
     assert path.read_text().splitlines()[0] == "x,y"
+
+
+@st.composite
+def _annotation_sets(draw):
+    grid = ImageGrid(draw(st.integers(1, 300)), draw(st.integers(1, 300)))
+    cells = draw(st.lists(
+        st.tuples(st.floats(1.0, float(grid.width)), st.floats(1.0, float(grid.height))),
+        unique=True, max_size=20,
+    ))
+    return AnnotationSet(grid=grid, cells=tuple(cells))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ann=_annotation_sets())
+def test_annotations_csv_round_trip_property(tmp_path_factory, ann):
+    path = tmp_path_factory.mktemp("csv") / "ann.csv"
+    save_annotations_csv(ann, path)
+    loaded = load_annotations_csv(path, ann.grid)
+    assert loaded.cells == ann.cells  # every float comes back exactly, in order
 
 
 def test_annotations_csv_rejects_bad_header(tmp_path):

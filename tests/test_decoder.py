@@ -14,7 +14,6 @@ from csdetect.core import (
     SparseLocationSignal,
 )
 from csdetect.decoder import (
-    CandidatePoint,
     DecodeParams,
     backproject_axis,
     decode_scheme1,
@@ -84,15 +83,14 @@ def test_decode_scheme1_rejects_length_mismatch():
 def test_backproject_axis_aligned_entry():
     sig = SparseLocationSignal(length=10, indices=np.array([3]), values=np.array([4.0]))
     votes = backproject_axis(sig, X_AXIS)
-    assert len(votes) == 1
-    assert (votes[0].x, votes[0].y) == (3.0, 4.0)
-    assert votes[0].magnitude == 4.0
-    assert votes[0].source_axis == 1
+    assert votes.shape == (1, 3)
+    assert (votes[0, 0], votes[0, 1]) == (3.0, 4.0)
+    assert votes[0, 2] == 4.0  # magnitude |d|
 
 
 def test_backproject_zero_signal():
     empty = SparseLocationSignal(length=10, indices=np.array([], dtype=np.int64), values=np.array([]))
-    assert backproject_axis(empty, X_AXIS) == []
+    assert backproject_axis(empty, X_AXIS).shape == (0, 3)
 
 
 def test_backproject_round_trip_within_bin_rounding():
@@ -103,17 +101,82 @@ def test_backproject_round_trip_within_bin_rounding():
     for axis in layout.axes:
         votes = backproject_axis(axis_signal(ann, axis), axis)
         assert len(votes) == 1
-        err = np.hypot(votes[0].x - cell[0], votes[0].y - cell[1])
+        err = np.hypot(votes[0, 0] - cell[0], votes[0, 1] - cell[1])
         assert err <= 0.5  # the bin index is the only rounded quantity
+
+
+def test_backproject_matches_one_vote_at_a_time():
+    grid = ImageGrid(60, 60)
+    layout = build_axis_layout(grid, 7)
+    rng = np.random.default_rng(11)
+    for axis in layout.axes:
+        indices = np.sort(rng.choice(axis.bin_count, size=9, replace=False)) + 1
+        values = rng.normal(0.0, 20.0, size=9)
+        votes = backproject_axis(
+            SparseLocationSignal(length=axis.bin_count, indices=indices, values=values), axis
+        )
+        ox, oy = axis.origin
+        dx, dy = axis.direction
+        nx, ny = axis.normal
+        expected = [
+            [ox + int(r) * dx + float(d) * nx, oy + int(r) * dy + float(d) * ny, abs(float(d))]
+            for r, d in zip(indices, values)
+        ]
+        assert votes.tolist() == expected
+
+
+def test_backproject_validation():
+    short = SparseLocationSignal(length=9, indices=np.array([3]), values=np.array([4.0]))
+    with pytest.raises(ValueError, match="bin count"):
+        backproject_axis(short, X_AXIS)
+    far = ObservationAxis(
+        index=1, origin=(1e308, 0.0), direction=(0.0, 1.0), normal=(-1.0, 0.0), bin_count=10
+    )
+    huge = SparseLocationSignal(length=10, indices=np.array([2]), values=np.array([-1.7e308]))
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        backproject_axis(huge, far)
+
+
+def _votes(rows):
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)
 
 
 def test_filter_noise_candidates():
     grid = ImageGrid(100, 100)
-    near_axis = CandidatePoint(x=50.0, y=50.0, source_axis=1, magnitude=0.01)
-    good = CandidatePoint(x=50.0, y=50.0, source_axis=1, magnitude=20.0)
-    outside = CandidatePoint(x=150.0, y=50.0, source_axis=1, magnitude=20.0)
-    kept = filter_noise_candidates([near_axis, good, outside], grid, noise_margin=13.0)
-    assert kept == [good]
+    near_axis = (50.0, 50.0, 0.01)
+    good = (50.0, 50.0, 20.0)
+    outside = (150.0, 50.0, 20.0)
+    kept = filter_noise_candidates(_votes([near_axis, good, outside]), grid, noise_margin=13.0)
+    assert kept.tolist() == [list(good)]
+
+
+def test_filter_noise_candidates_bounds_are_inclusive():
+    grid = ImageGrid(100, 80)
+    margin = 13.0
+    low, right, top = 1.0 - margin, 100 + margin, 80 + margin
+    inside = [
+        (50.0, 40.0, margin),  # magnitude exactly at the margin
+        (low, 40.0, 20.0),
+        (right, 40.0, 20.0),
+        (50.0, low, 20.0),
+        (50.0, top, 20.0),
+        (low, low, 20.0),
+        (right, top, 20.0),
+    ]
+    outside = [
+        (50.0, 40.0, np.nextafter(margin, 0.0)),
+        (np.nextafter(low, -np.inf), 40.0, 20.0),
+        (np.nextafter(right, np.inf), 40.0, 20.0),
+        (50.0, np.nextafter(low, -np.inf), 20.0),
+        (50.0, np.nextafter(top, np.inf), 20.0),
+    ]
+    kept = filter_noise_candidates(_votes(outside[:2] + inside + outside[2:]), grid, margin)
+    assert kept.tolist() == [list(row) for row in inside]
+    for row in inside:
+        assert grid.contains(row[0], row[1], margin=margin)
+    for row in outside[1:]:
+        assert not grid.contains(row[0], row[1], margin=margin)
+    assert filter_noise_candidates(_votes([]), grid, margin).shape == (0, 3)
 
 
 def test_filter_keeps_everything_on_clean_round_trip():
@@ -121,25 +184,23 @@ def test_filter_keeps_everything_on_clean_round_trip():
     layout = build_axis_layout(grid, 8)
     rng = np.random.default_rng(1)
     ann = _random_cells(grid, 3, min_sep=5.0, rng=rng)
-    candidates = []
-    for axis in layout.axes:
-        candidates.extend(backproject_axis(axis_signal(ann, axis), axis))
+    candidates = np.concatenate(
+        [backproject_axis(axis_signal(ann, axis), axis) for axis in layout.axes]
+    )
     kept = filter_noise_candidates(candidates, grid, layout.margin)
     # bin conflicts can merge votes at encode time, but the noise filter
     # itself must pass every clean vote through
-    assert kept == candidates
+    assert np.array_equal(kept, candidates)
 
 
 def test_meanshift_identical_points():
-    pts = [CandidatePoint(x=5.0, y=7.0, source_axis=i, magnitude=1.0) for i in range(6)]
+    pts = _votes([(5.0, 7.0, 1.0)] * 6)
     clusters = meanshift_cluster(pts, bandwidth=2.0)
     assert clusters == [((5.0, 7.0), 6)]
 
 
 def test_meanshift_single_point():
-    clusters = meanshift_cluster(
-        [CandidatePoint(x=1.0, y=2.0, source_axis=1, magnitude=1.0)], bandwidth=2.0
-    )
+    clusters = meanshift_cluster(_votes([(1.0, 2.0, 1.0)]), bandwidth=2.0)
     assert clusters == [((1.0, 2.0), 1)]
 
 
@@ -148,32 +209,31 @@ def test_meanshift_two_far_groups():
     bw = 1.5
     a = np.array([10.0, 10.0])
     b = a + 10 * bw
-    cands = [
-        CandidatePoint(x=c[0] + rng.uniform(-0.4, 0.4), y=c[1] + rng.uniform(-0.4, 0.4),
-                       source_axis=i, magnitude=1.0)
-        for i, c in enumerate([a] * 5 + [b] * 7)
-    ]
+    cands = _votes([
+        (c[0] + rng.uniform(-0.4, 0.4), c[1] + rng.uniform(-0.4, 0.4), 1.0)
+        for c in [a] * 5 + [b] * 7
+    ])
     clusters = sorted(meanshift_cluster(cands, bandwidth=bw), key=lambda c: c[0][0])
     assert [c[1] for c in clusters] == [5, 7]
     got_a = np.array(clusters[0][0])
     got_b = np.array(clusters[1][0])
-    want_a = np.mean([(c.x, c.y) for c in cands[:5]], axis=0)
-    want_b = np.mean([(c.x, c.y) for c in cands[5:]], axis=0)
+    want_a = cands[:5, :2].mean(axis=0)
+    want_b = cands[5:, :2].mean(axis=0)
     assert np.allclose(got_a, want_a, atol=1e-3)
     assert np.allclose(got_b, want_b, atol=1e-3)
 
 
 def test_meanshift_rejects_bad_bandwidth():
     with pytest.raises(ValueError):
-        meanshift_cluster([], bandwidth=0.0)
+        meanshift_cluster(_votes([]), bandwidth=0.0)
 
 
 def _meanshift_one_at_a_time(candidates, bandwidth):
     """Reference: shift one candidate at a time to convergence, then assign
     each mode in order to the first cluster centre within bandwidth/2."""
-    if not candidates:
+    if not len(candidates):
         return []
-    pts = np.array([(c.x, c.y) for c in candidates], dtype=np.float64)
+    pts = np.array(candidates[:, :2], dtype=np.float64)
     modes = pts.copy()
     bw2 = bandwidth * bandwidth
     for i in range(len(pts)):
@@ -205,7 +265,7 @@ def _meanshift_one_at_a_time(candidates, bandwidth):
 
 
 def _candidates(xy):
-    return [CandidatePoint(x=float(x), y=float(y), source_axis=1, magnitude=1.0) for x, y in xy]
+    return _votes([(float(x), float(y), 1.0) for x, y in xy])
 
 
 def _assert_same_clusters(xy, bandwidth):

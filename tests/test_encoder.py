@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csdetect.core import AnnotationSet, ImageGrid
+from csdetect.core import AnnotationSet, ImageGrid, SparseLocationSignal, round_half_up
 from csdetect.encoder import (
     AxisLayout,
     ObservationAxis,
@@ -17,7 +19,7 @@ from csdetect.encoder import (
     flatten_annotations,
     project_to_axis,
 )
-from csdetect.sensing import make_sensing_matrix
+from csdetect.sensing import make_sensing_matrix, project
 
 
 def test_default_margin_is_five_percent_of_diagonal():
@@ -183,3 +185,128 @@ def test_scheme2_rejects_matrix_mismatch():
     phi = make_sensing_matrix(8, layout.bin_count + 1, seed=2)
     with pytest.raises(ValueError):
         encode_scheme2(AnnotationSet(grid=grid), layout, phi)
+
+
+def _axis_signal_one_cell_at_a_time(annotations, axis):
+    """Reference: project each cell on its own and keep, per bin, the cell
+    with the smallest (|d|, x, y)."""
+    best = {}
+    collapsed = 0
+    for cx, cy in annotations.cells:
+        px = cx - axis.origin[0]
+        py = cy - axis.origin[1]
+        t = px * axis.direction[0] + py * axis.direction[1]
+        d = px * axis.normal[0] + py * axis.normal[1]
+        r = min(max(round_half_up(t), 1), axis.bin_count)
+        key = (abs(d), cx, cy)
+        if r in best:
+            collapsed += 1
+            if key < best[r][0]:
+                best[r] = (key, d)
+        else:
+            best[r] = (key, d)
+    indices = np.sort(np.fromiter(best.keys(), dtype=np.int64, count=len(best)))
+    values = np.array([best[int(r)][1] for r in indices])
+    return SparseLocationSignal(
+        length=axis.bin_count, indices=indices, values=values, collapsed_duplicates=collapsed
+    )
+
+
+# axis-aligned axes with exact unit vectors: a cell at x = k + 0.5 sits
+# exactly on a half bin of the first, and cells sharing y tie in |d| on it
+_EXACT_AXES = (
+    ObservationAxis(index=1, origin=(0.0, -2.0), direction=(1.0, 0.0), normal=(0.0, 1.0), bin_count=9),
+    ObservationAxis(index=2, origin=(12.0, 0.0), direction=(0.0, 1.0), normal=(-1.0, 0.0), bin_count=9),
+)
+
+
+# a line through the image (axis_signal takes any axis): cells on both
+# sides tie in |d| with opposite signs, and a cell on the line has d = 0
+_CROSSING_AXIS = ObservationAxis(
+    index=3, origin=(0.0, 4.5), direction=(1.0, 0.0), normal=(0.0, 1.0), bin_count=9
+)
+
+
+def _assert_same_signals(annotations, axes, phi=None):
+    signals = []
+    for axis in axes:
+        try:
+            signals.append(_axis_signal_one_cell_at_a_time(annotations, axis))
+        except ValueError:  # a zero distance won a bin
+            with pytest.raises(ValueError, match="nonzero"):
+                axis_signal(annotations, axis)
+            return
+    for axis, want in zip(axes, signals):
+        got = axis_signal(annotations, axis)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.values, want.values)
+        assert got.collapsed_duplicates == want.collapsed_duplicates
+    if phi is not None:
+        layout = AxisLayout(axes=axes, grid=annotations.grid, margin=1.0)
+        want = np.concatenate([project(phi, sig.to_dense()) for sig in signals])
+        assert np.array_equal(encode_scheme2(annotations, layout, phi).values, want)
+
+
+def test_axis_signal_matches_one_cell_at_a_time_on_conflicts():
+    grid = ImageGrid(8, 8)
+    phi = make_sensing_matrix(5, 9, seed=4)
+    cells = (
+        (2.5, 3.0), (3.0, 3.0), (3.4, 3.0), (2.6, 1.0),  # bin 3 of axis 1, |d| ties and a half bin
+        (5.5, 4.0), (6.0, 4.0), (6.4999, 4.0),  # bin 6, on and just below the half bin
+        (1.0, 1.0), (1.0, 7.5), (8.0, 8.0),
+    )
+    for order in (cells, cells[::-1]):
+        ann = AnnotationSet(grid=grid, cells=order)
+        _assert_same_signals(ann, _EXACT_AXES, phi)
+        _assert_same_signals(ann, (_CROSSING_AXIS,))
+    # both |d| = 2.5 in bin 3: the smaller x wins although its y is larger
+    ann = AnnotationSet(grid=grid, cells=((3.2, 2.0), (3.0, 7.0)))
+    assert axis_signal(ann, _CROSSING_AXIS).values.tolist() == [2.5]
+    _assert_same_signals(ann, (_CROSSING_AXIS,))
+
+
+def test_scheme2_matches_one_cell_at_a_time_on_a_crowded_layout():
+    grid = ImageGrid(40, 30)
+    layout = build_axis_layout(grid, 9)
+    phi = make_sensing_matrix(20, layout.bin_count, seed=5)
+    rng = np.random.default_rng(6)
+    cells = {(float(x), float(y)) for x, y in rng.integers(1, 31, size=(300, 2)) * (4 / 3, 1)}
+    cells |= {(float(x), float(y)) for x, y in rng.uniform(1, 30, size=(200, 2))}
+    ann = AnnotationSet(grid=grid, cells=tuple(sorted(cells)))
+    collapsed = [_axis_signal_one_cell_at_a_time(ann, axis).collapsed_duplicates for axis in layout.axes]
+    assert sum(collapsed) > 0
+    _assert_same_signals(ann, layout.axes, phi)
+
+
+def test_axis_signal_rejects_a_cell_on_its_axis():
+    axis = ObservationAxis(index=1, origin=(0.0, 3.0), direction=(1.0, 0.0), normal=(0.0, 1.0), bin_count=9)
+    ann = AnnotationSet(grid=ImageGrid(8, 8), cells=((2.0, 3.0), (5.0, 6.0)))
+    with pytest.raises(ValueError, match="nonzero"):
+        axis_signal(ann, axis)
+    layout = AxisLayout(axes=(axis,), grid=ImageGrid(8, 2), margin=0.5)
+    with pytest.raises(ValueError, match="nonzero"):
+        encode_scheme2(AnnotationSet(grid=ImageGrid(8, 8), cells=((4.0, 3.0),)), layout,
+                       make_sensing_matrix(4, 9, seed=1))
+
+
+_half_steps = st.integers(2, 16).map(lambda k: k / 2)  # 1.0, 1.5, ..., 8.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cells=st.sets(
+        st.tuples(
+            st.one_of(_half_steps, st.floats(1.0, 8.0, allow_nan=False)),
+            st.one_of(_half_steps, st.floats(1.0, 8.0, allow_nan=False)),
+        ),
+        max_size=30,
+    ),
+    axis_count=st.integers(1, 6),
+)
+def test_axis_signal_matches_one_cell_at_a_time_property(cells, axis_count):
+    grid = ImageGrid(8, 8)
+    ann = AnnotationSet(grid=grid, cells=tuple(cells))
+    _assert_same_signals(ann, _EXACT_AXES, make_sensing_matrix(5, 9, seed=4))
+    _assert_same_signals(ann, (_CROSSING_AXIS,))
+    layout = build_axis_layout(grid, axis_count)
+    _assert_same_signals(ann, layout.axes, make_sensing_matrix(6, layout.bin_count, seed=2))

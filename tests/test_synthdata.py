@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from csdetect.core import AnnotationSet, ImageGrid, round_half_up, to_dense_map
 from csdetect.synthdata import (
@@ -160,6 +163,23 @@ def test_pgm_round_trip(tmp_path):
     assert np.array_equal(np.rint(image * 255), np.rint(loaded * 255))
 
 
+@settings(max_examples=100, deadline=None)
+@given(image=hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+    elements=st.one_of(st.floats(0.0, 1.0), st.integers(0, 255).map(lambda v: v / 255.0)),
+))
+def test_pgm_round_trip_property(tmp_path_factory, image):
+    path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+    save_pgm(image, path)
+    loaded = load_pgm(path)
+    levels = np.rint(image * 255.0)
+    assert loaded.shape == image.shape
+    assert np.array_equal(loaded * 255.0, levels)  # the 8-bit levels come back exactly
+    save_pgm(loaded, path)
+    assert np.array_equal(load_pgm(path), loaded)
+
+
 def test_pgm_parser_handles_comments_and_rejects_garbage(tmp_path):
     path = tmp_path / "img.pgm"
     body = bytes(range(6))
@@ -207,6 +227,39 @@ def test_manifest_round_trip(tmp_path):
     write_manifest({"grid": {}}, path)
     with pytest.raises(ValueError, match="images"):
         read_manifest(path)
+
+
+_names = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), min_size=1, max_size=12)
+
+
+@st.composite
+def _manifests(draw):
+    ids = draw(st.lists(_names, unique=True, max_size=5))
+    images = []
+    for image_id in ids:
+        entry = {"id": image_id, "image": draw(_names), "annotations": draw(_names)}
+        if draw(st.booleans()):
+            entry["split"] = draw(_names)
+        images.append(entry)
+    manifest = {
+        "grid": {"width": draw(st.integers(1, 10_000)), "height": draw(st.integers(1, 10_000))},
+        "images": images,
+    }
+    if draw(st.booleans()):
+        manifest["seed"] = draw(st.integers(-(2**63), 2**63 - 1))
+    if draw(st.booleans()):
+        manifest["splits"] = draw(
+            st.dictionaries(_names, st.lists(st.sampled_from(ids)) if ids else st.just([]), max_size=3)
+        )
+    return manifest
+
+
+@settings(max_examples=100, deadline=None)
+@given(manifest=_manifests())
+def test_manifest_round_trip_property(tmp_path_factory, manifest):
+    path = tmp_path_factory.mktemp("manifest") / "manifest.yaml"
+    write_manifest(manifest, path)
+    assert read_manifest(path) == manifest
 
 
 _GOOD_ENTRY = {"id": "a", "image": "images/a.pgm", "annotations": "annotations/a.csv"}
