@@ -66,10 +66,11 @@ class ImageGrid:
         # center of the 1-based pixel lattice [1, w] x [1, h]
         return (0.5 * (1 + self.width), 0.5 * (1 + self.height))
 
-    def contains(self, x: float, y: float, margin: float = 0.0) -> bool:
-        return (1.0 - margin <= x <= self.width + margin) and (
-            1.0 - margin <= y <= self.height + margin
-        )
+    def contains(self, x, y, margin: float = 0.0):
+        """Whether (x, y) lies in the margin-expanded lattice rectangle,
+        bounds inclusive; elementwise for arrays."""
+        low = 1.0 - margin
+        return (low <= x) & (x <= self.width + margin) & (low <= y) & (y <= self.height + margin)
 
 
 @dataclass(frozen=True)

@@ -132,9 +132,7 @@ def filter_noise_candidates(candidates: np.ndarray, grid: ImageGrid, noise_margi
     """Drop votes that hug their axis (magnitude below the margin) or fall
     outside the margin-expanded image rectangle (bounds inclusive)."""
     x, y, magnitude = candidates[:, 0], candidates[:, 1], candidates[:, 2]
-    low = 1.0 - noise_margin
-    keep = (magnitude >= noise_margin) & (low <= x) & (x <= grid.width + noise_margin)
-    keep &= (low <= y) & (y <= grid.height + noise_margin)
+    keep = (magnitude >= noise_margin) & grid.contains(x, y, margin=noise_margin)
     return candidates[keep]
 
 

@@ -264,11 +264,12 @@ def encode_scheme2(
     each row is projected on its own, because one matrix product for all
     rows would sum in another order and change the last bits.
     """
-    if any(ax.bin_count != phi.cols for ax in layout.axes):
-        raise ValueError(
-            f"matrix expects signals of length {phi.cols}, layout bins are "
-            f"{layout.bin_count}"
-        )
+    for ax in layout.axes:
+        if ax.bin_count != phi.cols:
+            raise ValueError(
+                f"axis {ax.index} has {ax.bin_count} bins, matrix expects "
+                f"signals of length {phi.cols}"
+            )
     pos, bins, dist, _ = _axis_entries(annotations, layout.axes)
     dense = np.zeros((layout.count, phi.cols))
     dense[pos, bins - 1] = dist

@@ -1,6 +1,7 @@
 """Both encoding routes: map flattening and observation-axis projection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,16 @@ def test_scheme2_rejects_matrix_mismatch():
     phi = make_sensing_matrix(8, layout.bin_count + 1, seed=2)
     with pytest.raises(ValueError):
         encode_scheme2(AnnotationSet(grid=grid), layout, phi)
+    # only the second axis disagrees with the matrix: the message names it
+    first, second = layout.axes
+    mixed = AxisLayout(
+        axes=(first, replace(second, bin_count=second.bin_count + 1)),
+        grid=grid,
+        margin=layout.margin,
+    )
+    phi = make_sensing_matrix(8, layout.bin_count, seed=2)
+    with pytest.raises(ValueError, match=f"axis 2 has {layout.bin_count + 1} bins"):
+        encode_scheme2(AnnotationSet(grid=grid), mixed, phi)
 
 
 def _axis_signal_one_cell_at_a_time(annotations, axis):
