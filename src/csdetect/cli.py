@@ -221,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[detect], help="detect and evaluate the test split")
     p.add_argument("--diagnostics", action="store_true",
-                   help="dump per-axis candidates and solver traces")
+                   help="dump per-axis votes with each axis's iteration count and converged flag")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("ensemble", parents=[detect],

@@ -250,10 +250,6 @@ class CompressedSignal:
         lo = index * self.block_size
         return self.values[lo : lo + self.block_size]
 
-    def blocks(self):
-        for i in range(self.block_count):
-            yield self.block(i)
-
     def __eq__(self, other):
         if not isinstance(other, CompressedSignal):
             return NotImplemented

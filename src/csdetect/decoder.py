@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import DetectedPoint, DetectionResult, ImageGrid, SparseLocationSignal
 from .encoder import AxisLayout, ObservationAxis
-from .recovery import RecoveryParams, SolverTrace, bp_recover_rows, omp_recover_rows, operator_norm_sq
+from .recovery import RecoveryParams, bp_recover_rows, omp_recover_rows, operator_norm_sq
 from .recovery import bp_recover, omp_recover  # noqa: F401  unused; perfbench/tracing.py wraps them by these names
 from .sensing import SensingMatrix
 
@@ -232,26 +232,14 @@ def decode_scheme2(
         bad = [str(axis.index) for axis, ok in zip(layout.axes, finite) if not ok]
         raise ValueError(f"non-finite prediction on axes {','.join(bad)}")
 
-    traces = [SolverTrace() for _ in layout.axes]
     if solver == "bp":
         norm_sq = operator_norm_sq(phi.entries)
-        signals = bp_recover_rows(blocks, phi, recovery, traces, norm_sq)
+        signals, iterations, converged = bp_recover_rows(blocks, phi, recovery, op_norm_sq=norm_sq)
     else:
-        signals = omp_recover_rows(blocks, phi, recovery, traces)
+        signals, iterations, converged = omp_recover_rows(blocks, phi, recovery)
 
-    candidates = []
-    axis_records = []
-    stalled = []
-    for axis, f_hat_l, trace in zip(layout.axes, signals, traces):
-        if not trace.converged:
-            stalled.append(axis.index)
-        votes = backproject_axis(f_hat_l, axis)
-        candidates.append(votes)
-        if diagnostics is not None:
-            axis_records.append(
-                {"axis": axis.index, "trace": trace, "signal": f_hat_l, "candidates": votes}
-            )
-
+    candidates = [backproject_axis(f_hat_l, axis) for f_hat_l, axis in zip(signals, layout.axes)]
+    stalled = [axis.index for axis, done in zip(layout.axes, converged) if not done]
     if stalled:
         log.warning(
             "%d of %d axes stopped above the recovery tolerance (axes %s); "
@@ -266,10 +254,12 @@ def decode_scheme2(
         if support >= params.min_support
     )
     if diagnostics is not None:
-        diagnostics["axes"] = axis_records
-        diagnostics["kept_candidates"] = kept
-        diagnostics["clusters"] = clusters
-        diagnostics["params"] = params
+        diagnostics["axes"] = [
+            {"axis": axis.index, "signal": f_hat_l, "candidates": votes, "iterations": its, "converged": done}
+            for axis, f_hat_l, votes, its, done in zip(
+                layout.axes, signals, candidates, iterations.tolist(), converged.tolist()
+            )
+        ]
     return DetectionResult(points=points)
 
 

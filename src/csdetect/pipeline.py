@@ -279,7 +279,7 @@ def _detect_image(
             raise ValueError(f"patch at {patch.origin}: {exc}") from exc
         detected = detected.translated(patch.origin[0], patch.origin[1])
         points.extend(detected.points)
-        if diagnostics is not None and diag is not None and "axes" in diag:
+        if diag:
             for record in diag["axes"]:
                 for x, y, magnitude in record["candidates"].tolist():
                     diagnostics.append(
@@ -291,8 +291,8 @@ def _detect_image(
                             "x": x + patch.origin[0],
                             "y": y + patch.origin[1],
                             "magnitude": magnitude,
-                            "iterations": record["trace"].iterations,
-                            "converged": record["trace"].converged,
+                            "iterations": record["iterations"],
+                            "converged": record["converged"],
                         }
                     )
     return DetectionResult(points=tuple(points))

@@ -3,7 +3,9 @@
 Two solvers with the same contract (measurement vector in, sparse location
 signal out). Each solves a stack of problems against one matrix together,
 one row per problem, with matrix-matrix products (omp_recover_rows,
-bp_recover_rows); omp_recover and bp_recover are their one-row calls.
+bp_recover_rows), and returns the signals with each row's iteration count
+and convergence flag as arrays; omp_recover and bp_recover are their
+one-row calls and return the signal alone.
 
 * omp: orthogonal matching pursuit, greedy column selection with a
   least-squares refit of the active set each round. Every row of the stack
@@ -21,9 +23,8 @@ positive rescaling of the measurements.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .sensing import SensingMatrix
 
 __all__ = [
     "RecoveryParams",
-    "SolverTrace",
     "default_max_sparsity",
     "omp_recover",
     "omp_recover_rows",
@@ -41,8 +41,6 @@ __all__ = [
     "lasso_shrinkage",
     "operator_norm_sq",
 ]
-
-log = logging.getLogger(__name__)
 
 # relative floor standing in for the equality constraint when noise_budget=0
 _EQUALITY_FLOOR = 1e-9
@@ -85,56 +83,43 @@ class RecoveryParams:
             raise ValueError("max_sparsity must be >= 1 when given")
 
 
-@dataclass
-class SolverTrace:
-    """Mutable out-parameter collecting per-iteration diagnostics."""
-
-    residuals: list = field(default_factory=list)
-    objectives: list = field(default_factory=list)
-    lambda_path: list = field(default_factory=list)
-    iterations: int = 0
-    converged: bool = False
-    final_residual: float = math.nan
-
-
 def default_max_sparsity(rows: int, cols: int) -> int:
     """Invert M >= 4 k ln N: the largest k the row budget is meant for."""
     return max(1, int(math.ceil(rows / (4.0 * math.log(cols)))))
 
 
-def _zero_signal(n: int, trace: SolverTrace | None) -> SparseLocationSignal:
-    if trace is not None:
-        trace.converged = True
-        trace.final_residual = 0.0
-    return SparseLocationSignal(length=n, indices=np.array([], dtype=np.int64), values=np.array([]))
+def _one_row(y: np.ndarray, phi: SensingMatrix) -> np.ndarray:
+    """One measurement vector as a one-row stack."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (phi.rows,):
+        raise ValueError(f"measurement length {y.shape} does not match {phi.rows} rows")
+    return y[None, :]
 
 
-def _to_signal(x: np.ndarray) -> SparseLocationSignal:
-    idx = np.flatnonzero(x)
-    return SparseLocationSignal(length=x.size, indices=idx + 1, values=x[idx])
+def _stack(ys: np.ndarray, m: int):
+    """A validated (rows, m) measurement stack and each row's norm, taken
+    one row at a time as a row solved alone gets it."""
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.ndim != 2 or ys.shape[1] != m:
+        raise ValueError(f"measurement stack {ys.shape} does not have {m} columns")
+    return ys, np.array([np.linalg.norm(y) for y in ys])
 
 
 def omp_recover(
     y: np.ndarray,
     phi: SensingMatrix,
     params: RecoveryParams | None = None,
-    trace: SolverTrace | None = None,
 ) -> SparseLocationSignal:
     """Greedy pursuit of one measurement vector: the one-row call of
     omp_recover_rows."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (phi.rows,):
-        raise ValueError(f"measurement length {y.shape} does not match {phi.rows} rows")
-    traces = None if trace is None else [trace]
-    return omp_recover_rows(y[None, :], phi, params, traces)[0]
+    return omp_recover_rows(_one_row(y, phi), phi, params)[0][0]
 
 
 def omp_recover_rows(
     ys: np.ndarray,
     phi: SensingMatrix,
     params: RecoveryParams | None = None,
-    traces: list | None = None,
-) -> list:
+):
     """Orthogonal matching pursuit for every row of ys (rows, M) against one
     matrix: pick the column most correlated with the residual, refit the
     active set by least squares, repeat until the residual is within
@@ -146,29 +131,26 @@ def omp_recover_rows(
     its own support. A row leaves the stack once it is within tolerance
     (converged), or when its best correlation is exactly 0 (the residual is
     orthogonal to every remaining column; the row keeps its current fit).
-    `traces`, when given, holds one SolverTrace per row.
+
+    Returns (signals, iterations, converged): one signal per row, and per
+    row the number of atoms picked (int64) and whether the residual reached
+    the tolerance (bool). An all-zero row is the zero signal, converged
+    after 0 iterations.
     """
     params = params or RecoveryParams()
     a = phi.entries
     m, n = a.shape
-    ys = np.asarray(ys, dtype=np.float64)
-    if ys.ndim != 2 or ys.shape[1] != m:
-        raise ValueError(f"measurement stack {ys.shape} does not have {m} columns")
+    ys, norm_y = _stack(ys, m)
     rows = ys.shape[0]
-    if traces is not None and len(traces) != rows:
-        raise ValueError(f"{len(traces)} traces for {rows} measurement rows")
-    signals: list = [None] * rows
-    tol = np.zeros(rows)
-    for r, y in enumerate(ys):
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            signals[r] = _zero_signal(n, None if traces is None else traces[r])
-        tol[r] = params.residual_tol * norm_y
+    x = np.zeros((rows, n))
+    iterations = np.zeros(rows, dtype=np.int64)
+    converged = norm_y == 0.0
+    tol = params.residual_tol * norm_y
     kmax = params.max_sparsity or default_max_sparsity(m, n)
     kmax = min(kmax, m, params.max_iterations)
 
     columns = a.T  # columns[j] is column j of Phi
-    active = np.array([r for r in range(rows) if signals[r] is None], dtype=np.int64)
+    active = np.flatnonzero(~converged)
     y_act = ys[active]
     aty = y_act @ a  # Phi^T y: each row's refit right-hand sides
     residual = y_act.copy()
@@ -180,22 +162,12 @@ def omp_recover_rows(
     rhs = np.zeros((active.size, kmax, 1))
     coeffs = np.zeros((active.size, 0))
 
-    def finish(leaving, k, converged):
+    def finish(leaving, k, done):
         # rows at positions `leaving` of the stack stop with k atoms
-        for i in np.flatnonzero(leaving):
-            r = int(active[i])
-            final_residual = float(np.linalg.norm(residual[i]))
-            if not converged:
-                log.debug(
-                    "omp did not reach tolerance: residual %.3e > %.3e with %d atoms",
-                    final_residual, tol[r], k,
-                )
-            if traces is not None:
-                traces[r].converged = converged
-                traces[r].final_residual = final_residual
-            x = np.zeros(n)
-            x[support[i, :k]] = coeffs[i]
-            signals[r] = _to_signal(x)
+        out = active[leaving]
+        x[out[:, None], support[leaving, :k]] = coeffs[leaving]
+        iterations[out] = k
+        converged[out] = done
 
     for k in range(kmax):  # every row of the stack holds k atoms
         if not active.size:
@@ -220,20 +192,16 @@ def omp_recover_rows(
         rhs[:, k, 0] = aty[at, picks]
         coeffs = np.linalg.solve(gram[:, : k + 1, : k + 1], rhs[:, : k + 1])[:, :, 0]
         residual = y_act - (coeffs[:, None, :] @ atoms[:, : k + 1])[:, 0, :]
-        rnorm = np.linalg.norm(residual, axis=1)
-        if traces is not None:
-            for r, value in zip(active.tolist(), rnorm.tolist()):
-                traces[r].residuals.append(value)
-                traces[r].iterations += 1
-        done = rnorm <= tol[active]
+        done = np.linalg.norm(residual, axis=1) <= tol[active]
         if done.any():
             finish(done, k + 1, True)
             keep = ~done
             active, y_act, aty, residual, support, atoms, gram, rhs, coeffs = (
                 v[keep] for v in (active, y_act, aty, residual, support, atoms, gram, rhs, coeffs)
             )
-    finish(np.ones(active.size, dtype=bool), kmax, False)  # rows stopped by the cap
-    return signals
+    if active.size:  # rows stopped by the cap
+        finish(np.ones(active.size, dtype=bool), kmax, False)
+    return [SparseLocationSignal.from_dense(row) for row in x], iterations, converged
 
 
 def operator_norm_sq(a: np.ndarray, iterations: int = 16) -> float:
@@ -256,7 +224,7 @@ def _soft(v: np.ndarray, t) -> np.ndarray:
 
 
 def lasso_shrinkage(
-    y: np.ndarray,
+    ys: np.ndarray,
     a: np.ndarray,
     lam,
     step: float,
@@ -264,20 +232,20 @@ def lasso_shrinkage(
     x0: np.ndarray | None = None,
 ):
     """Monotone accelerated proximal gradient for the fixed-lambda lasso
-    0.5 ||y - Ax||^2 + lam ||x||_1, on one measurement vector or a stack.
+    0.5 ||y - Ax||^2 + lam ||x||_1, on a stack of measurement vectors.
 
-    y is (M,) or (rows, M) with one problem per row, and lam is a scalar or
-    one value per row. All rows share the step and the momentum sequence;
-    each row takes the acceleration candidate only when it does not raise
-    that row's objective, which preserves the plain-ISTA descent guarantee.
+    ys is (rows, M) with one problem per row, and lam is a scalar or one
+    value per row. All rows share the step and the momentum sequence; each
+    row takes the acceleration candidate only when it does not raise that
+    row's objective, which preserves the plain-ISTA descent guarantee.
 
-    Returns (x, objectives). For 1-D y, x is (N,) and objectives[i] is the
-    value at iterate i (objectives[0] is the starting point). For 2-D y, x
-    is (rows, N) and objectives is an (iterations + 1, rows) array. Every
-    row's sequence is non-increasing.
+    Returns (x, objectives): x is (rows, N) and objectives is an
+    (iterations + 1, rows) array whose row i holds the values at iterate i
+    (row 0 is the starting point). Every row's sequence is non-increasing.
     """
-    y = np.asarray(y, dtype=np.float64)
-    ys = np.atleast_2d(y)
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.ndim != 2:
+        raise ValueError(f"measurement stack {ys.shape} is not 2-D")
     rows, n = ys.shape[0], a.shape[1]
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (rows,))
     x = np.zeros((rows, n)) if x0 is None else np.array(x0, dtype=np.float64).reshape(rows, n)
@@ -314,10 +282,7 @@ def lasso_shrinkage(
         x, ax = x_next, ax_next
         t = t_next
         objs.append(obj)
-    objs = np.array(objs)
-    if y.ndim == 1:
-        return x[0], objs[:, 0].tolist()
-    return x, objs
+    return x, np.array(objs)
 
 
 def _debias(y: np.ndarray, a: np.ndarray, x: np.ndarray):
@@ -337,25 +302,19 @@ def bp_recover(
     y: np.ndarray,
     phi: SensingMatrix,
     params: RecoveryParams | None = None,
-    trace: SolverTrace | None = None,
     op_norm_sq: float | None = None,
 ) -> SparseLocationSignal:
     """Basis pursuit denoising of one measurement vector: the one-row call
     of bp_recover_rows."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (phi.rows,):
-        raise ValueError(f"measurement length {y.shape} does not match {phi.rows} rows")
-    traces = None if trace is None else [trace]
-    return bp_recover_rows(y[None, :], phi, params, traces, op_norm_sq)[0]
+    return bp_recover_rows(_one_row(y, phi), phi, params, op_norm_sq)[0][0]
 
 
 def bp_recover_rows(
     ys: np.ndarray,
     phi: SensingMatrix,
     params: RecoveryParams | None = None,
-    traces: list | None = None,
     op_norm_sq: float | None = None,
-) -> list:
+):
     """Basis pursuit denoising by shrinkage with lambda continuation, for
     every row of ys (rows, M) against one matrix.
 
@@ -369,57 +328,42 @@ def bp_recover_rows(
     The rows are independent problems solved together: they share the step
     and the phase schedule, every other quantity (lam, eps, best refit,
     convergence) is per row, and a row leaves the stack once its refit is
-    inside its budget. `traces`, when given, holds one SolverTrace per row.
-    `op_norm_sq` lets callers that solve many problems against one matrix
-    reuse the power-iteration estimate of ||Phi||^2.
+    inside its budget. `op_norm_sq` lets callers that solve many problems
+    against one matrix reuse the power-iteration estimate of ||Phi||^2.
+
+    Returns (signals, iterations, converged): one signal per row, and per
+    row the shrinkage iterations it ran (int64) and whether a refit got
+    inside the noise budget (bool). A row that never did is its best refit,
+    or its last shrinkage iterate when no refit was possible. An all-zero
+    row is the zero signal, converged after 0 iterations.
     """
     params = params or RecoveryParams()
     a = phi.entries
     m, n = a.shape
-    ys = np.asarray(ys, dtype=np.float64)
-    if ys.ndim != 2 or ys.shape[1] != m:
-        raise ValueError(f"measurement stack {ys.shape} does not have {m} columns")
+    ys, norm_y = _stack(ys, m)
     rows = ys.shape[0]
-    if traces is not None and len(traces) != rows:
-        raise ValueError(f"{len(traces)} traces for {rows} measurement rows")
-    signals: list = [None] * rows
-    eps = np.zeros(rows)
-    lam = np.zeros(rows)
-    for r, y in enumerate(ys):
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            signals[r] = _zero_signal(n, None if traces is None else traces[r])
-            continue
-        eps[r] = max(params.noise_budget, params.noise_budget_frac * norm_y, _EQUALITY_FLOOR * norm_y)
-        # one product per row, so a row's lambda path does not depend on
-        # the rows stacked with it
-        lam[r] = 0.25 * float(np.max(np.abs(a.T @ y)))
-    live = [r for r in range(rows) if signals[r] is None]
-    if not live:
-        return signals
-    if op_norm_sq is None:
-        op_norm_sq = operator_norm_sq(a)
-    step = params.shrinkage_step / op_norm_sq
+    x_out = np.zeros((rows, n))
+    iterations = np.zeros(rows, dtype=np.int64)
+    converged = norm_y == 0.0
+    eps = np.maximum(params.noise_budget, max(params.noise_budget_frac, _EQUALITY_FLOOR) * norm_y)
+    # one product per row, so a row's lambda path does not depend on the
+    # rows stacked with it
+    lam = np.array([0.25 * float(np.max(np.abs(a.T @ y))) for y in ys])
     lam_floor = np.where(lam > 0, 1e-12 * lam, 1.0)
+    active = np.flatnonzero(~converged)
+    if active.size and op_norm_sq is None:
+        op_norm_sq = operator_norm_sq(a)
 
-    active = np.array(live)
     y_act, lam_act = ys[active], lam[active]
     x = np.zeros((active.size, n))
-    best = {}  # row -> (refit, refit residual norm)
-    converged = np.zeros(rows, dtype=bool)
+    best = np.zeros((rows, n))  # each row's refit with the smallest residual
+    best_residual = np.full(rows, np.inf)
     budget = params.max_iterations
     while budget > 0 and active.size:
         this_phase = min(_PHASE_ITERATIONS, budget)
-        x, objs = lasso_shrinkage(y_act, a, lam_act, step, this_phase, x0=x)
+        x, _ = lasso_shrinkage(y_act, a, lam_act, params.shrinkage_step / op_norm_sq, this_phase, x0=x)
         budget -= this_phase
-        if traces is not None:
-            residuals = np.linalg.norm(y_act - x @ a.T, axis=1)
-            for k, r in enumerate(active):
-                trace = traces[r]
-                trace.objectives.extend(objs[1:, k].tolist())
-                trace.lambda_path.append(float(lam_act[k]))
-                trace.iterations += this_phase
-                trace.residuals.append(float(residuals[k]))
+        iterations[active] += this_phase
         mag = np.abs(x)
         peak = mag.max(axis=1)
         cleaned = np.where(mag >= _HARD_FLOOR * peak[:, None], x, 0.0)
@@ -428,9 +372,9 @@ def bp_recover_rows(
             refit = _debias(y_act[k], a, cleaned[k])
             if refit is None:
                 continue
-            r = int(active[k])
-            if r not in best or refit[1] < best[r][1]:
-                best[r] = refit
+            r = active[k]
+            if refit[1] < best_residual[r]:
+                best[r], best_residual[r] = refit
             done[k] = refit[1] <= eps[r]
         lam_act = np.maximum(lam_act * _LAMBDA_SHRINK, lam_floor[active])
         if done.any():
@@ -438,23 +382,8 @@ def bp_recover_rows(
             keep = ~done
             active, x, y_act, lam_act = active[keep], x[keep], y_act[keep], lam_act[keep]
 
-    last = dict(zip(active.tolist(), x))  # shrinkage iterates of unconverged rows
-    for r in live:
-        if r in best:
-            xr, final_residual = best[r]
-            peak = float(np.max(np.abs(xr)))
-            if peak > 0.0:
-                xr = np.where(np.abs(xr) >= _HARD_FLOOR * peak, xr, 0.0)
-        else:
-            xr = last[r]
-            final_residual = float(np.linalg.norm(ys[r] - a @ xr))
-        if not converged[r]:
-            log.debug(
-                "basis pursuit did not reach the noise budget: residual %.3e > %.3e",
-                final_residual, eps[r],
-            )
-        if traces is not None:
-            traces[r].converged = bool(converged[r])
-            traces[r].final_residual = final_residual
-        signals[r] = _to_signal(xr)
-    return signals
+    x_out[active] = x  # shrinkage iterates of the rows left unconverged
+    refit = np.isfinite(best_residual)
+    mag = np.abs(best[refit])
+    x_out[refit] = np.where(mag >= _HARD_FLOOR * mag.max(axis=1, keepdims=True), best[refit], 0.0)
+    return [SparseLocationSignal.from_dense(row) for row in x_out], iterations, converged

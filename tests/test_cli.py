@@ -328,8 +328,8 @@ def test_diagnostics_rows_match_a_per_axis_recomputation(workspace):
                     expected.append({
                         "offset": 0, "patch_x": px, "patch_y": py, "axis": axis.index,
                         "x": ox + r * dx + d * nx + px, "y": oy + r * dy + d * ny + py,
-                        "magnitude": abs(d), "iterations": record["trace"].iterations,
-                        "converged": record["trace"].converged,
+                        "magnitude": abs(d), "iterations": record["iterations"],
+                        "converged": record["converged"],
                     })
         assert expected
         assert result["diagnostics"] == expected

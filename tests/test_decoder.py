@@ -31,7 +31,7 @@ from csdetect.encoder import (
     flatten_annotations,
 )
 from csdetect.predictor import oracle_predict
-from csdetect.recovery import RecoveryParams, SolverTrace, bp_recover, omp_recover
+from csdetect.recovery import RecoveryParams, bp_recover, bp_recover_rows, omp_recover, omp_recover_rows
 from csdetect.sensing import make_sensing_matrix, minimum_rows
 
 X_AXIS = ObservationAxis(
@@ -399,10 +399,13 @@ def test_decode_scheme2_diagnostics_and_validation():
     y = encode_scheme2(ann, layout, phi)
     diag = {}
     decode_scheme2(y, layout, phi, diagnostics=diag)
+    assert list(diag) == ["axes"]
     assert len(diag["axes"]) == 4
-    assert {"axis", "trace", "signal", "candidates"} <= set(diag["axes"][0])
-    assert "kept_candidates" in diag and "clusters" in diag
-    assert diag["params"].min_support == 2
+    for record in diag["axes"]:
+        assert set(record) == {"axis", "signal", "candidates", "iterations", "converged"}
+        assert type(record["axis"]) is int
+        assert type(record["iterations"]) is int
+        assert type(record["converged"]) is bool
 
     with pytest.raises(ValueError, match="solver"):
         decode_scheme2(y, layout, phi, solver="lp")
@@ -423,12 +426,13 @@ def test_decode_scheme2_bp_axes_match_one_axis_solves():
     decode_scheme2(y_hat, layout, phi, recovery=recovery, diagnostics=diag)
     assert [record["axis"] for record in diag["axes"]] == list(range(1, 28))
     for record in diag["axes"]:
-        trace = SolverTrace()
-        one = bp_recover(y_hat.block(record["axis"] - 1), phi, recovery, trace=trace)
+        block = y_hat.block(record["axis"] - 1)
+        (one,), iterations, converged = bp_recover_rows(block[None], phi, recovery)
+        assert one == bp_recover(block, phi, recovery)
         assert np.array_equal(record["signal"].indices, one.indices)
         np.testing.assert_allclose(record["signal"].values, one.values, rtol=1e-12, atol=0.0)
-        assert record["trace"].iterations == trace.iterations
-        assert record["trace"].converged == trace.converged
+        assert record["iterations"] == iterations[0]
+        assert record["converged"] == converged[0]
 
 
 def test_decode_scheme2_omp_axes_match_one_axis_solves():
@@ -443,12 +447,13 @@ def test_decode_scheme2_omp_axes_match_one_axis_solves():
     decode_scheme2(y_hat, layout, phi, recovery=recovery, solver="omp", diagnostics=diag)
     assert [record["axis"] for record in diag["axes"]] == list(range(1, 28))
     for record in diag["axes"]:
-        trace = SolverTrace()
-        one = omp_recover(y_hat.block(record["axis"] - 1), phi, recovery, trace=trace)
+        block = y_hat.block(record["axis"] - 1)
+        (one,), iterations, converged = omp_recover_rows(block[None], phi, recovery)
+        assert one == omp_recover(block, phi, recovery)
         assert np.array_equal(record["signal"].indices, one.indices)
         np.testing.assert_allclose(record["signal"].values, one.values, rtol=1e-12, atol=0.0)
-        assert record["trace"].iterations == trace.iterations
-        assert record["trace"].converged == trace.converged
+        assert record["iterations"] == iterations[0]
+        assert record["converged"] == converged[0]
 
 
 @pytest.mark.parametrize("solver", ["bp", "omp"])
