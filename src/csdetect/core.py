@@ -198,14 +198,13 @@ class SparseLocationSignal:
         return dense
 
     @classmethod
-    def from_dense(cls, dense, collapsed_duplicates: int = 0) -> "SparseLocationSignal":
+    def from_dense(cls, dense) -> "SparseLocationSignal":
         dense = np.asarray(dense, dtype=np.float64)
         idx0 = np.flatnonzero(dense)
         return cls(
             length=dense.size,
             indices=idx0 + 1,
             values=dense[idx0],
-            collapsed_duplicates=collapsed_duplicates,
         )
 
     def __eq__(self, other):

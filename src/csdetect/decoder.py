@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DetectedPoint, DetectionResult, ImageGrid, SparseLocationSignal
-from .encoder import AxisLayout, ObservationAxis
+from .encoder import AxisLayout, ObservationAxis, axis_geometry
 from .recovery import RecoveryParams, bp_recover_rows, omp_recover_rows, operator_norm_sq
 from .recovery import bp_recover, omp_recover  # noqa: F401  unused; perfbench/tracing.py wraps them by these names
 from .sensing import SensingMatrix
@@ -106,6 +106,17 @@ def decode_scheme1(f_hat: SparseLocationSignal, grid: ImageGrid, threshold: floa
     return DetectionResult(points=tuple(points))
 
 
+def _votes(geometry: np.ndarray, r: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Rows x, y, |d| of the votes origin + r*dir + d*normal of (bin r, distance d)
+    entries; geometry holds each entry's axis_geometry row, or one row for all."""
+    votes = np.empty((r.size, 3))
+    votes[:, :2] = geometry[:, :2] + r[:, None] * geometry[:, 2:4] + d[:, None] * geometry[:, 4:]
+    np.abs(d, out=votes[:, 2])
+    if not np.isfinite(votes[:, :2]).all():
+        raise ValueError("candidate coordinates must be finite")
+    return votes
+
+
 def backproject_axis(f_hat_l: SparseLocationSignal, axis: ObservationAxis) -> np.ndarray:
     """Each (bin r, distance d) entry votes for origin + r*dir + d*normal.
 
@@ -115,17 +126,7 @@ def backproject_axis(f_hat_l: SparseLocationSignal, axis: ObservationAxis) -> np
         raise ValueError(
             f"signal length {f_hat_l.length} does not match bin count {axis.bin_count}"
         )
-    ox, oy = axis.origin
-    dx, dy = axis.direction
-    nx, ny = axis.normal
-    r, d = f_hat_l.indices, f_hat_l.values
-    votes = np.empty((r.size, 3))
-    votes[:, 0] = ox + r * dx + d * nx
-    votes[:, 1] = oy + r * dy + d * ny
-    np.abs(d, out=votes[:, 2])
-    if not np.isfinite(votes[:, :2]).all():
-        raise ValueError("candidate coordinates must be finite")
-    return votes
+    return _votes(axis_geometry((axis,)), f_hat_l.indices, f_hat_l.values)
 
 
 def filter_noise_candidates(candidates: np.ndarray, grid: ImageGrid, noise_margin: float) -> np.ndarray:
@@ -207,8 +208,8 @@ def decode_scheme2(
     """Full axis-route decode of a concatenated measurement vector.
 
     Recover every axis's sparse signal (either solver recovers the L blocks
-    together in one batched run) and back-project each to candidate
-    points. Pooled candidates are noise-filtered and mean-shift clustered;
+    together in one batched run) and back-project them to candidate
+    points in one pass. Pooled candidates are noise-filtered and mean-shift clustered;
     clusters with support >= min_support become detections at the cluster
     mean. A non-converging axis is logged and
     decoded with its best iterate rather than aborting the others. A
@@ -220,7 +221,7 @@ def decode_scheme2(
         raise ValueError(
             f"{y_hat.block_count} measurement blocks for {layout.count} axes"
         )
-    if phi.cols != layout.bin_count or phi.rows != y_hat.block_size:
+    if any(axis.bin_count != phi.cols for axis in layout.axes) or phi.rows != y_hat.block_size:
         raise ValueError("matrix shape does not match layout bins / block size")
     if solver not in ("bp", "omp"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -234,11 +235,12 @@ def decode_scheme2(
 
     if solver == "bp":
         norm_sq = operator_norm_sq(phi.entries)
-        signals, iterations, converged = bp_recover_rows(blocks, phi, recovery, op_norm_sq=norm_sq)
+        x, iterations, converged = bp_recover_rows(blocks, phi, recovery, op_norm_sq=norm_sq)
     else:
-        signals, iterations, converged = omp_recover_rows(blocks, phi, recovery)
+        x, iterations, converged = omp_recover_rows(blocks, phi, recovery)
 
-    candidates = [backproject_axis(f_hat_l, axis) for f_hat_l, axis in zip(signals, layout.axes)]
+    rows, bins = np.nonzero(x)  # row-major: axis order, then bin order within an axis
+    candidates = _votes(axis_geometry(layout.axes)[rows], bins + 1, x[rows, bins])
     stalled = [axis.index for axis, done in zip(layout.axes, converged) if not done]
     if stalled:
         log.warning(
@@ -246,7 +248,7 @@ def decode_scheme2(
             "decoding with their best iterates",
             len(stalled), layout.count, ",".join(map(str, stalled)),
         )
-    kept = filter_noise_candidates(np.concatenate(candidates), layout.grid, params.noise_margin)
+    kept = filter_noise_candidates(candidates, layout.grid, params.noise_margin)
     clusters = meanshift_cluster(kept, params.bandwidth)
     points = tuple(
         DetectedPoint(x=cx, y=cy, support=support)
@@ -255,10 +257,9 @@ def decode_scheme2(
     )
     if diagnostics is not None:
         diagnostics["axes"] = [
-            {"axis": axis.index, "signal": f_hat_l, "candidates": votes, "iterations": its, "converged": done}
-            for axis, f_hat_l, votes, its, done in zip(
-                layout.axes, signals, candidates, iterations.tolist(), converged.tolist()
-            )
+            {"axis": axis.index, "signal": SparseLocationSignal.from_dense(x[i]),
+             "candidates": candidates[rows == i], "iterations": its, "converged": done}
+            for i, (axis, its, done) in enumerate(zip(layout.axes, iterations.tolist(), converged.tolist()))
         ]
     return DetectionResult(points=points)
 

@@ -32,6 +32,7 @@ __all__ = [
     "flatten_annotations",
     "encode_scheme1",
     "build_axis_layout",
+    "axis_geometry",
     "project_to_axis",
     "axis_signal",
     "encode_scheme2",
@@ -191,6 +192,11 @@ def build_axis_layout(grid: ImageGrid, count: int, margin: float | None = None) 
     return AxisLayout(axes=tuple(axes), grid=grid, margin=margin)
 
 
+def axis_geometry(axes) -> np.ndarray:
+    """One row ox, oy, dx, dy, nx, ny (origin, direction, normal) per axis."""
+    return np.array([ax.origin + ax.direction + ax.normal for ax in axes])
+
+
 def _project_cells(cells: np.ndarray, axes) -> tuple:
     """(bins, signed distances) of k points on n axes, both shaped (k, n).
 
@@ -199,7 +205,7 @@ def _project_cells(cells: np.ndarray, axes) -> tuple:
     origin + t*direction + d*normal from the unrounded t returns the point,
     so rounding is the only loss.
     """
-    geometry = np.array([ax.origin + ax.direction + ax.normal for ax in axes])  # (n, 6)
+    geometry = axis_geometry(axes)
     px = cells[:, 0:1] - geometry[:, 0]
     py = cells[:, 1:2] - geometry[:, 1]
     t = px * geometry[:, 2] + py * geometry[:, 3]

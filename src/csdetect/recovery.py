@@ -3,9 +3,9 @@
 Two solvers with the same contract (measurement vector in, sparse location
 signal out). Each solves a stack of problems against one matrix together,
 one row per problem, with matrix-matrix products (omp_recover_rows,
-bp_recover_rows), and returns the signals with each row's iteration count
-and convergence flag as arrays; omp_recover and bp_recover are their
-one-row calls and return the signal alone.
+bp_recover_rows), and returns the solutions as one dense (rows, N) array
+with each row's iteration count and convergence flag; omp_recover and
+bp_recover are their one-row calls and return the signal alone.
 
 * omp: orthogonal matching pursuit, greedy column selection with a
   least-squares refit of the active set each round. Every row of the stack
@@ -88,12 +88,13 @@ def default_max_sparsity(rows: int, cols: int) -> int:
     return max(1, int(math.ceil(rows / (4.0 * math.log(cols)))))
 
 
-def _one_row(y: np.ndarray, phi: SensingMatrix) -> np.ndarray:
-    """One measurement vector as a one-row stack."""
+def _one_row(solve_rows, y: np.ndarray, phi: SensingMatrix, *args) -> SparseLocationSignal:
+    """A row solver's call on one measurement vector, as a one-row stack:
+    the signal of the solution's only row."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (phi.rows,):
         raise ValueError(f"measurement length {y.shape} does not match {phi.rows} rows")
-    return y[None, :]
+    return SparseLocationSignal.from_dense(solve_rows(y[None, :], phi, *args)[0][0])
 
 
 def _stack(ys: np.ndarray, m: int):
@@ -112,7 +113,7 @@ def omp_recover(
 ) -> SparseLocationSignal:
     """Greedy pursuit of one measurement vector: the one-row call of
     omp_recover_rows."""
-    return omp_recover_rows(_one_row(y, phi), phi, params)[0][0]
+    return _one_row(omp_recover_rows, y, phi, params)
 
 
 def omp_recover_rows(
@@ -132,10 +133,10 @@ def omp_recover_rows(
     (converged), or when its best correlation is exactly 0 (the residual is
     orthogonal to every remaining column; the row keeps its current fit).
 
-    Returns (signals, iterations, converged): one signal per row, and per
-    row the number of atoms picked (int64) and whether the residual reached
-    the tolerance (bool). An all-zero row is the zero signal, converged
-    after 0 iterations.
+    Returns (x, iterations, converged): row i of x (rows, N) solves row i
+    of ys, and per row the number of atoms picked (int64) and whether the
+    residual reached the tolerance (bool). An all-zero row is solved by
+    zeros, converged after 0 iterations.
     """
     params = params or RecoveryParams()
     a = phi.entries
@@ -201,7 +202,7 @@ def omp_recover_rows(
             )
     if active.size:  # rows stopped by the cap
         finish(np.ones(active.size, dtype=bool), kmax, False)
-    return [SparseLocationSignal.from_dense(row) for row in x], iterations, converged
+    return x, iterations, converged
 
 
 def operator_norm_sq(a: np.ndarray, iterations: int = 16) -> float:
@@ -239,9 +240,8 @@ def lasso_shrinkage(
     row takes the acceleration candidate only when it does not raise that
     row's objective, which preserves the plain-ISTA descent guarantee.
 
-    Returns (x, objectives): x is (rows, N) and objectives is an
-    (iterations + 1, rows) array whose row i holds the values at iterate i
-    (row 0 is the starting point). Every row's sequence is non-increasing.
+    Returns x, (rows, N). Every row's objective is non-increasing from one
+    iterate to the next.
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 2:
@@ -258,7 +258,6 @@ def lasso_shrinkage(
         return 0.5 * np.sum(r * r, axis=1) + lam * np.sum(np.abs(v), axis=1)
 
     obj = objective(x, ax)
-    objs = [obj]
     t = 1.0
     z, az = x, ax
     for _ in range(iterations):
@@ -281,8 +280,7 @@ def lasso_shrinkage(
         x_prev, ax_prev = x, ax
         x, ax = x_next, ax_next
         t = t_next
-        objs.append(obj)
-    return x, np.array(objs)
+    return x
 
 
 def _debias(y: np.ndarray, a: np.ndarray, x: np.ndarray):
@@ -306,7 +304,7 @@ def bp_recover(
 ) -> SparseLocationSignal:
     """Basis pursuit denoising of one measurement vector: the one-row call
     of bp_recover_rows."""
-    return bp_recover_rows(_one_row(y, phi), phi, params, op_norm_sq)[0][0]
+    return _one_row(bp_recover_rows, y, phi, params, op_norm_sq)
 
 
 def bp_recover_rows(
@@ -331,11 +329,11 @@ def bp_recover_rows(
     inside its budget. `op_norm_sq` lets callers that solve many problems
     against one matrix reuse the power-iteration estimate of ||Phi||^2.
 
-    Returns (signals, iterations, converged): one signal per row, and per
-    row the shrinkage iterations it ran (int64) and whether a refit got
-    inside the noise budget (bool). A row that never did is its best refit,
-    or its last shrinkage iterate when no refit was possible. An all-zero
-    row is the zero signal, converged after 0 iterations.
+    Returns (x, iterations, converged): row i of x (rows, N) solves row i
+    of ys, and per row the shrinkage iterations it ran (int64) and whether
+    a refit got inside the noise budget (bool). A row that never did is its
+    best refit, or its last shrinkage iterate when no refit was possible.
+    An all-zero row is solved by zeros, converged after 0 iterations.
     """
     params = params or RecoveryParams()
     a = phi.entries
@@ -361,7 +359,7 @@ def bp_recover_rows(
     budget = params.max_iterations
     while budget > 0 and active.size:
         this_phase = min(_PHASE_ITERATIONS, budget)
-        x, _ = lasso_shrinkage(y_act, a, lam_act, params.shrinkage_step / op_norm_sq, this_phase, x0=x)
+        x = lasso_shrinkage(y_act, a, lam_act, params.shrinkage_step / op_norm_sq, this_phase, x0=x)
         budget -= this_phase
         iterations[active] += this_phase
         mag = np.abs(x)
@@ -386,4 +384,4 @@ def bp_recover_rows(
     refit = np.isfinite(best_residual)
     mag = np.abs(best[refit])
     x_out[refit] = np.where(mag >= _HARD_FLOOR * mag.max(axis=1, keepdims=True), best[refit], 0.0)
-    return [SparseLocationSignal.from_dense(row) for row in x_out], iterations, converged
+    return x_out, iterations, converged

@@ -414,6 +414,14 @@ def test_decode_scheme2_diagnostics_and_validation():
         decode_scheme2(wrong, layout, phi)
 
 
+def _assert_votes_are_one_axis_backprojection(record, layout):
+    # the one-pass back-projection of all axes gives each axis the votes,
+    # to the bit, that back-projecting its own signal alone gives
+    alone = backproject_axis(record["signal"], layout.axes[record["axis"] - 1])
+    assert record["candidates"].shape == alone.shape
+    assert record["candidates"].tobytes() == alone.tobytes()
+
+
 def test_decode_scheme2_bp_axes_match_one_axis_solves():
     grid = ImageGrid(260, 260)
     layout = build_axis_layout(grid, 27)
@@ -427,12 +435,14 @@ def test_decode_scheme2_bp_axes_match_one_axis_solves():
     assert [record["axis"] for record in diag["axes"]] == list(range(1, 28))
     for record in diag["axes"]:
         block = y_hat.block(record["axis"] - 1)
-        (one,), iterations, converged = bp_recover_rows(block[None], phi, recovery)
+        (row,), iterations, converged = bp_recover_rows(block[None], phi, recovery)
+        one = SparseLocationSignal.from_dense(row)
         assert one == bp_recover(block, phi, recovery)
         assert np.array_equal(record["signal"].indices, one.indices)
         np.testing.assert_allclose(record["signal"].values, one.values, rtol=1e-12, atol=0.0)
         assert record["iterations"] == iterations[0]
         assert record["converged"] == converged[0]
+        _assert_votes_are_one_axis_backprojection(record, layout)
 
 
 def test_decode_scheme2_omp_axes_match_one_axis_solves():
@@ -448,12 +458,14 @@ def test_decode_scheme2_omp_axes_match_one_axis_solves():
     assert [record["axis"] for record in diag["axes"]] == list(range(1, 28))
     for record in diag["axes"]:
         block = y_hat.block(record["axis"] - 1)
-        (one,), iterations, converged = omp_recover_rows(block[None], phi, recovery)
+        (row,), iterations, converged = omp_recover_rows(block[None], phi, recovery)
+        one = SparseLocationSignal.from_dense(row)
         assert one == omp_recover(block, phi, recovery)
         assert np.array_equal(record["signal"].indices, one.indices)
         np.testing.assert_allclose(record["signal"].values, one.values, rtol=1e-12, atol=0.0)
         assert record["iterations"] == iterations[0]
         assert record["converged"] == converged[0]
+        _assert_votes_are_one_axis_backprojection(record, layout)
 
 
 @pytest.mark.parametrize("solver", ["bp", "omp"])
@@ -472,6 +484,23 @@ def test_decode_scheme2_rejects_non_finite_before_any_solve(monkeypatch, solver)
     monkeypatch.setattr(decoder, "bp_recover_rows", no_solve)
     monkeypatch.setattr(decoder, "omp_recover_rows", no_solve)
     with pytest.raises(ValueError, match="^non-finite prediction on axes 3,6$"):
+        decode_scheme2(y_hat, layout, phi, solver=solver)
+
+
+@pytest.mark.parametrize("solver", ["bp", "omp"])
+def test_decode_scheme2_rejects_non_finite_solver_output(monkeypatch, solver):
+    grid = ImageGrid(24, 24)
+    layout = build_axis_layout(grid, 6)
+    phi = make_sensing_matrix(12, layout.bin_count, seed=3)
+    y_hat = CompressedSignal(values=np.full(6 * 12, 0.1), block_size=12, block_count=6)
+
+    def nan_solve(ys, *args, **kwargs):
+        x = np.zeros((len(ys), phi.cols))
+        x[2, 5] = np.nan
+        return x, np.ones(len(ys), dtype=np.int64), np.ones(len(ys), dtype=bool)
+
+    monkeypatch.setattr(decoder, f"{solver}_recover_rows", nan_solve)
+    with pytest.raises(ValueError, match="candidate coordinates must be finite"):
         decode_scheme2(y_hat, layout, phi, solver=solver)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csdetect.core import SparseLocationSignal
 from csdetect.recovery import (
     RecoveryParams,
     bp_recover,
@@ -48,7 +49,9 @@ def test_default_max_sparsity_inverts_row_budget():
 def test_omp_single_column():
     phi = make_sensing_matrix(30, 100, seed=1)
     y = phi.entries[:, 17]
-    (f_hat,), iterations, converged = omp_recover_rows(y[None, :], phi)
+    x, iterations, converged = omp_recover_rows(y[None, :], phi)
+    assert (x.dtype, x.shape) == (np.float64, (1, 100))
+    f_hat = SparseLocationSignal.from_dense(x[0])
     assert list(f_hat.indices) == [18]
     assert f_hat.values[0] == pytest.approx(1.0, abs=1e-12)
     assert iterations.tolist() == [1]
@@ -110,15 +113,14 @@ def _omp_one_at_a_time(y, phi, params):
     return x, len(active), converged, active
 
 
-def _assert_matches_reference(y, phi, params, signal, iterations, converged):
+def _assert_matches_reference(y, phi, params, dense, iterations, converged):
     x, ref_iterations, ref_converged, picked = _omp_one_at_a_time(y, phi, params)
     # relative to the row's peak: an atom picked on the way can refit to
     # rounding noise, exactly 0 in the reference's lstsq (not stored) and
     # about 1e-16 in the batched normal equations (stored)
     peak = float(np.max(np.abs(x), initial=0.0))
-    dense = signal.to_dense()
     nonzero = set(np.flatnonzero(x).tolist())
-    stored = set((signal.indices - 1).tolist())
+    stored = set(np.flatnonzero(dense).tolist())
     assert nonzero <= stored
     for j in stored - nonzero:
         assert j in picked
@@ -161,11 +163,11 @@ def test_omp_rows_match_one_at_a_time_reference(params):
     phi = make_sensing_matrix(30, 100, seed=31)
     ys = _omp_stack(phi, np.random.default_rng(32))
     stacked, iterations, converged = omp_recover_rows(ys, phi, params)
-    assert len(stacked) == len(ys)
+    assert (stacked.dtype, stacked.shape) == (np.float64, (len(ys), 100))
     assert (iterations.dtype, iterations.shape) == (np.int64, (len(ys),))
     assert (converged.dtype, converged.shape) == (bool, (len(ys),))
-    for y, signal, its, done in zip(ys, stacked, iterations, converged):
-        _assert_matches_reference(y, phi, params, signal, its, done)
+    for y, row, its, done in zip(ys, stacked, iterations, converged):
+        _assert_matches_reference(y, phi, params, row, its, done)
     # the stack really mixes the cases: all-zero rows, rows that converge
     # before the cap and rows that stop at it
     kmax = min(params.max_sparsity or default_max_sparsity(30, 100), params.max_iterations)
@@ -183,11 +185,11 @@ def test_omp_rows_all_converging_before_the_cap():
     rng = np.random.default_rng(37)
     ys = np.array([phi.entries @ _spike_signal(100, k, rng)[0] for k in (1, 2, 3, 1)] + [np.zeros(30)])
     params = RecoveryParams(max_sparsity=6)
-    signals, iterations, converged = omp_recover_rows(ys, phi, params)
+    stacked, iterations, converged = omp_recover_rows(ys, phi, params)
     assert iterations.tolist() == [1, 2, 3, 1, 0]
     assert converged.all()
-    for y, signal, its, done in zip(ys, signals, iterations, converged):
-        _assert_matches_reference(y, phi, params, signal, its, done)
+    for y, row, its, done in zip(ys, stacked, iterations, converged):
+        _assert_matches_reference(y, phi, params, row, its, done)
 
 
 def test_omp_row_does_not_depend_on_its_stack():
@@ -199,10 +201,10 @@ def test_omp_row_does_not_depend_on_its_stack():
     for r, y in enumerate(ys):
         (alone,), alone_iterations, alone_converged = omp_recover_rows(y[None, :], phi, params)
         # atoms that refit to rounding noise may differ in their last bits
-        peak = float(np.max(np.abs(alone.values), initial=0.0))
-        for signals, iterations, converged in (forward, backward):
-            assert np.array_equal(signals[r].indices, alone.indices)
-            np.testing.assert_allclose(signals[r].values, alone.values, rtol=1e-12, atol=1e-12 * peak)
+        peak = float(np.max(np.abs(alone), initial=0.0))
+        for stacked, iterations, converged in (forward, backward):
+            assert np.array_equal(np.flatnonzero(stacked[r]), np.flatnonzero(alone))
+            np.testing.assert_allclose(stacked[r], alone, rtol=1e-12, atol=1e-12 * peak)
             assert iterations[r] == alone_iterations[0]
             assert converged[r] == alone_converged[0]
 
@@ -216,10 +218,10 @@ def test_omp_row_orthogonal_to_every_column_stops_empty():
     y = np.zeros(12)
     y[-1] = 2.0
     ys = np.array([y, entries[:, 3] + entries[:, 7]])
-    signals, iterations, converged = omp_recover_rows(ys, phi, RecoveryParams(max_sparsity=4))
-    assert signals[0].nnz == 0
+    stacked, iterations, converged = omp_recover_rows(ys, phi, RecoveryParams(max_sparsity=4))
+    assert not stacked[0].any()
     assert (iterations[0], converged[0]) == (0, False)
-    assert list(signals[1].indices) == [4, 8]
+    assert np.flatnonzero(stacked[1]).tolist() == [3, 7]
     assert converged[1]
 
 
@@ -252,8 +254,8 @@ def test_omp_rows_match_reference_on_random_stacks(m, extra_cols, kinds, cap, se
             rows.append(y)
     ys = np.array(rows)
     params = RecoveryParams(max_sparsity=cap)
-    for y, signal, its, done in zip(ys, *omp_recover_rows(ys, phi, params)):
-        _assert_matches_reference(y, phi, params, signal, its, done)
+    for y, row, its, done in zip(ys, *omp_recover_rows(ys, phi, params)):
+        _assert_matches_reference(y, phi, params, row, its, done)
 
 
 def test_omp_rows_validation():
@@ -266,8 +268,8 @@ def test_omp_rows_validation():
 
 
 def _assert_empty(result):
-    signals, iterations, converged = result
-    assert signals == []
+    stacked, iterations, converged = result
+    assert (stacked.dtype, stacked.shape) == (np.float64, (0, 100))
     assert (iterations.dtype, iterations.shape) == (np.int64, (0,))
     assert (converged.dtype, converged.shape) == (bool, (0,))
 
@@ -286,9 +288,16 @@ def test_lasso_objectives_never_increase():
     ys = rng.normal(size=(6, 30))
     lam = np.array([0.0, 0.05, 0.5, 2.0, 8.0, 1e3])
     step = 1.0 / operator_norm_sq(a)
-    x, objs = lasso_shrinkage(ys, a, lam=lam, step=step, iterations=200)
-    assert x.shape == (6, 80)
-    assert objs.shape == (201, 6)
+
+    def objective(x):
+        r = ys - x @ a.T
+        return 0.5 * np.sum(r * r, axis=1) + lam * np.sum(np.abs(x), axis=1)
+
+    # the iteration is deterministic, so a run of k iterations ends at the
+    # k-th iterate of any longer run
+    iterates = [lasso_shrinkage(ys, a, lam=lam, step=step, iterations=k) for k in range(201)]
+    assert all(x.shape == (6, 80) for x in iterates)
+    objs = np.array([objective(x) for x in iterates])
     assert np.all(np.diff(objs, axis=0) <= 1e-12)
     with pytest.raises(ValueError):
         lasso_shrinkage(ys[2], a, lam=0.5, step=step, iterations=200)
@@ -299,7 +308,7 @@ def test_lasso_huge_lambda_yields_zero():
     a = rng.normal(size=(20, 50))
     y = rng.normal(size=20)
     lam = 10.0 * float(np.max(np.abs(a.T @ y)))
-    x, _ = lasso_shrinkage(y[None, :], a, lam=lam, step=1.0 / operator_norm_sq(a), iterations=50)
+    x = lasso_shrinkage(y[None, :], a, lam=lam, step=1.0 / operator_norm_sq(a), iterations=50)
     assert np.allclose(x, 0.0)
 
 
@@ -348,8 +357,9 @@ def test_bp_reports_iterations_and_convergence():
     rng = np.random.default_rng(13)
     x, _ = _spike_signal(100, 3, rng)
     y = phi.entries @ x
-    (signal,), iterations, converged = bp_recover_rows(y[None, :], phi)
-    assert signal == bp_recover(y, phi)
+    x, iterations, converged = bp_recover_rows(y[None, :], phi)
+    assert (x.dtype, x.shape) == (np.float64, (1, 100))
+    assert SparseLocationSignal.from_dense(x[0]) == bp_recover(y, phi)
     assert (iterations.dtype, converged.dtype) == (np.int64, bool)
     # whole shrinkage phases of 25 iterations
     assert iterations[0] > 0 and iterations[0] % 25 == 0
@@ -362,13 +372,13 @@ def test_bp_row_without_a_refit_returns_its_last_iterate():
     phi = make_sensing_matrix(3, 80, seed=2)
     y = np.random.default_rng(2).normal(size=3)
     ys = np.array([y, phi.entries[:, 5]])
-    signals, iterations, converged = bp_recover_rows(ys, phi, RecoveryParams(max_iterations=25))
+    stacked, iterations, converged = bp_recover_rows(ys, phi, RecoveryParams(max_iterations=25))
     a = phi.entries
     lam = 0.25 * float(np.max(np.abs(a.T @ y)))
-    x, _ = lasso_shrinkage(y[None, :], a, lam, 1.0 / operator_norm_sq(a), 25)
+    x = lasso_shrinkage(y[None, :], a, lam, 1.0 / operator_norm_sq(a), 25)
     assert np.count_nonzero(x) > 3
     # stacked with another row, the products may differ in their last bits
-    np.testing.assert_allclose(signals[0].to_dense(), x[0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(stacked[0], x[0], rtol=1e-12, atol=0.0)
     assert (iterations[0], converged[0]) == (25, False)
 
 
@@ -403,14 +413,14 @@ def test_bp_rows_match_one_row_calls(params):
     phi = make_sensing_matrix(40, 128, seed=21)
     ys = _mixed_stack(phi, np.random.default_rng(22))
     stacked, iterations, converged = bp_recover_rows(ys, phi, params)
-    assert len(stacked) == len(ys)
-    for y, signal, its, done in zip(ys, stacked, iterations, converged):
+    assert (stacked.dtype, stacked.shape) == (np.float64, (len(ys), 128))
+    for y, row, its, done in zip(ys, stacked, iterations, converged):
         (one,), one_iterations, one_converged = bp_recover_rows(y[None, :], phi, params)
-        assert np.array_equal(signal.indices, one.indices)
-        np.testing.assert_allclose(signal.values, one.values, rtol=1e-12, atol=0.0)
+        assert np.array_equal(np.flatnonzero(row), np.flatnonzero(one))
+        np.testing.assert_allclose(row, one, rtol=1e-12, atol=0.0)
         assert its == one_iterations[0]
         assert done == one_converged[0]
-        assert bp_recover(y, phi, params) == one
+        assert bp_recover(y, phi, params) == SparseLocationSignal.from_dense(one)
     # the stack really mixes the cases: an all-zero row, rows done after
     # the first phase, rows done later, and rows stopped by the cap
     cap = params.max_iterations
