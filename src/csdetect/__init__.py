@@ -6,14 +6,7 @@ projection, predicted by a pluggable regressor (or a noisy oracle),
 recovered by L1 minimization and decoded back into point detections.
 """
 
-from .core import (
-    AnnotationSet,
-    CompressedSignal,
-    DetectedPoint,
-    DetectionResult,
-    ImageGrid,
-    SparseLocationSignal,
-)
+from .core import AnnotationSet, DetectedPoint, DetectionResult, ImageGrid
 from .decoder import DecodeParams, decode_scheme1, decode_scheme2, merge_ensemble
 from .encoder import AxisLayout, ObservationAxis, build_axis_layout, encode_scheme1, encode_scheme2
 from .evaluation import MatchReport, match_detections, prf1

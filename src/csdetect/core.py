@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,6 @@ import numpy as np
 __all__ = [
     "ImageGrid",
     "AnnotationSet",
-    "SparseLocationSignal",
-    "CompressedSignal",
     "DetectedPoint",
     "DetectionResult",
     "round_half_up",
@@ -148,115 +146,6 @@ def load_annotations_csv(path, grid: ImageGrid) -> AnnotationSet:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return AnnotationSet(grid=grid, cells=tuple(cells))
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class SparseLocationSignal:
-    """Sparse real vector with strictly increasing 1-based indices.
-
-    `collapsed_duplicates` is metadata recording how many duplicate source
-    positions were merged while building the signal; it does not take part
-    in equality.
-    """
-
-    length: int
-    indices: np.ndarray
-    values: np.ndarray
-    collapsed_duplicates: int = field(default=0, compare=False)
-
-    def __post_init__(self):
-        indices = _readonly(np.asarray(self.indices, dtype=np.int64))
-        values = _readonly(np.asarray(self.values, dtype=np.float64))
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "values", values)
-        if self.length < 0:
-            raise ValueError("length must be >= 0")
-        if indices.shape != values.shape or indices.ndim != 1:
-            raise ValueError("indices and values must be 1-D and equal length")
-        if indices.size:
-            if indices[0] < 1 or indices[-1] > self.length:
-                raise ValueError("indices must lie in [1, length]")
-            if (indices[1:] <= indices[:-1]).any():
-                raise ValueError("indices must be strictly increasing")
-        if not (values.all() and np.isfinite(values).all()):
-            raise ValueError("stored values must be nonzero and finite")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.length)
-        if self.indices.size:
-            dense[self.indices - 1] = self.values
-        return dense
-
-    @classmethod
-    def from_dense(cls, dense) -> "SparseLocationSignal":
-        dense = np.asarray(dense, dtype=np.float64)
-        idx0 = np.flatnonzero(dense)
-        return cls(
-            length=dense.size,
-            indices=idx0 + 1,
-            values=dense[idx0],
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseLocationSignal):
-            return NotImplemented
-        return (
-            self.length == other.length
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class CompressedSignal:
-    """Fixed-length encoding vector, structured as block_count blocks of
-    block_size entries (block_count is 1 for reshaping-based encoding and
-    the number of observation axes for distance-based encoding)."""
-
-    values: np.ndarray
-    block_size: int
-    block_count: int = 1
-
-    def __post_init__(self):
-        values = _readonly(np.asarray(self.values, dtype=np.float64).ravel())
-        object.__setattr__(self, "values", values)
-        if self.block_size < 1 or self.block_count < 1:
-            raise ValueError("block_size and block_count must be >= 1")
-        if values.size != self.block_size * self.block_count:
-            raise ValueError(
-                f"expected {self.block_size * self.block_count} values, "
-                f"got {values.size}"
-            )
-
-    @property
-    def length(self) -> int:
-        return int(self.values.size)
-
-    def block(self, index: int) -> np.ndarray:
-        """The index-th block (0-based), as a read-only view."""
-        if not 0 <= index < self.block_count:
-            raise IndexError(f"block index {index} out of range")
-        lo = index * self.block_size
-        return self.values[lo : lo + self.block_size]
-
-    def __eq__(self, other):
-        if not isinstance(other, CompressedSignal):
-            return NotImplemented
-        return (
-            self.block_size == other.block_size
-            and self.block_count == other.block_count
-            and np.array_equal(self.values, other.values)
-        )
 
 
 @dataclass(frozen=True)

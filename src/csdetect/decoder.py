@@ -1,4 +1,7 @@
-"""From recovered sparse signals back to point detections.
+"""From recovered location signals back to point detections.
+
+Signals are dense float arrays that are zero off their support; the axis
+route recovers them as the rows of one (axes, bins) array.
 
 Reshaping route: threshold the recovered map signal and invert the
 index = x + h(y-1) rule.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectedPoint, DetectionResult, ImageGrid, SparseLocationSignal
+from .core import DetectedPoint, DetectionResult, ImageGrid
 from .encoder import AxisLayout, ObservationAxis, axis_geometry
 from .recovery import RecoveryParams, bp_recover_rows, omp_recover_rows, operator_norm_sq
 from .recovery import bp_recover, omp_recover  # noqa: F401  unused; perfbench/tracing.py wraps them by these names
@@ -85,24 +88,25 @@ class DecodeParams:
         )
 
 
-def decode_scheme1(f_hat: SparseLocationSignal, grid: ImageGrid, threshold: float) -> DetectionResult:
-    """Entries above the threshold, mapped back through index = x + h(y-1)."""
-    if f_hat.length != grid.n_pixels:
+def decode_scheme1(f_hat: np.ndarray, grid: ImageGrid, threshold: float) -> DetectionResult:
+    """Nonzero entries above the threshold, mapped back through
+    index = x + h(y-1)."""
+    f_hat = np.asarray(f_hat, dtype=np.float64)
+    if f_hat.shape != (grid.n_pixels,):
         raise ValueError(
-            f"signal length {f_hat.length} does not match grid pixels {grid.n_pixels}"
+            f"signal shape {f_hat.shape} does not match grid pixels {grid.n_pixels}"
         )
     points = []
     h = grid.height
-    for index, value in zip(f_hat.indices, f_hat.values):
-        if value > threshold:
-            x = int((index - 1) % h) + 1
-            y = int((index - 1) // h) + 1
-            if not grid.contains(x, y):
-                raise ValueError(
-                    f"index {index} inverts to ({x}, {y}) outside the grid; "
-                    f"reshaping decode requires a square grid"
-                )
-            points.append(DetectedPoint(x=float(x), y=float(y), support=1))
+    for index in (np.flatnonzero((f_hat != 0) & (f_hat > threshold)) + 1).tolist():
+        x = (index - 1) % h + 1
+        y = (index - 1) // h + 1
+        if not grid.contains(x, y):
+            raise ValueError(
+                f"index {index} inverts to ({x}, {y}) outside the grid; "
+                f"reshaping decode requires a square grid"
+            )
+        points.append(DetectedPoint(x=float(x), y=float(y), support=1))
     return DetectionResult(points=tuple(points))
 
 
@@ -117,16 +121,19 @@ def _votes(geometry: np.ndarray, r: np.ndarray, d: np.ndarray) -> np.ndarray:
     return votes
 
 
-def backproject_axis(f_hat_l: SparseLocationSignal, axis: ObservationAxis) -> np.ndarray:
-    """Each (bin r, distance d) entry votes for origin + r*dir + d*normal.
+def backproject_axis(f_hat_l: np.ndarray, axis: ObservationAxis) -> np.ndarray:
+    """Each nonzero entry, distance d at bin r, votes for
+    origin + r*dir + d*normal.
 
     Returns one row per vote, in bin order: x, y and the vote's magnitude |d|.
     """
-    if f_hat_l.length != axis.bin_count:
+    f_hat_l = np.asarray(f_hat_l, dtype=np.float64)
+    if f_hat_l.shape != (axis.bin_count,):
         raise ValueError(
-            f"signal length {f_hat_l.length} does not match bin count {axis.bin_count}"
+            f"signal shape {f_hat_l.shape} does not match bin count {axis.bin_count}"
         )
-    return _votes(axis_geometry((axis,)), f_hat_l.indices, f_hat_l.values)
+    (bins,) = np.nonzero(f_hat_l)
+    return _votes(axis_geometry((axis,)), bins + 1, f_hat_l[bins])
 
 
 def filter_noise_candidates(candidates: np.ndarray, grid: ImageGrid, noise_margin: float) -> np.ndarray:
@@ -205,7 +212,8 @@ def decode_scheme2(
     solver: str = "bp",
     diagnostics: dict | None = None,
 ) -> DetectionResult:
-    """Full axis-route decode of a concatenated measurement vector.
+    """Full axis-route decode of an (L, M) measurement array whose block i
+    encodes layout.axes[i].
 
     Recover every axis's sparse signal (either solver recovers the L blocks
     together in one batched run) and back-project them to candidate
@@ -217,17 +225,15 @@ def decode_scheme2(
     """
     params = (params or DecodeParams()).resolved(layout)
     recovery = recovery or RecoveryParams()
-    if y_hat.block_count != layout.count:
+    blocks = np.asarray(y_hat, dtype=np.float64)
+    if blocks.shape != (layout.count, phi.rows):
         raise ValueError(
-            f"{y_hat.block_count} measurement blocks for {layout.count} axes"
+            f"measurement shape {blocks.shape} does not match {layout.count} axes x {phi.rows} matrix rows"
         )
-    if any(axis.bin_count != phi.cols for axis in layout.axes) or phi.rows != y_hat.block_size:
-        raise ValueError("matrix shape does not match layout bins / block size")
+    if any(axis.bin_count != phi.cols for axis in layout.axes):
+        raise ValueError("matrix columns do not match the layout's bins")
     if solver not in ("bp", "omp"):
         raise ValueError(f"unknown solver {solver!r}")
-    blocks = y_hat.values.reshape(layout.count, y_hat.block_size)[
-        [axis.index - 1 for axis in layout.axes]
-    ]
     finite = np.isfinite(blocks).all(axis=1)
     if not finite.all():
         bad = [str(axis.index) for axis, ok in zip(layout.axes, finite) if not ok]
@@ -257,7 +263,7 @@ def decode_scheme2(
     )
     if diagnostics is not None:
         diagnostics["axes"] = [
-            {"axis": axis.index, "signal": SparseLocationSignal.from_dense(x[i]),
+            {"axis": axis.index, "signal": x[i],
              "candidates": candidates[rows == i], "iterations": its, "converged": done}
             for i, (axis, its, done) in enumerate(zip(layout.axes, iterations.tolist(), converged.tolist()))
         ]

@@ -1,13 +1,15 @@
 """Cell-location encodings.
 
-Two routes from an AnnotationSet to a fixed-length real vector:
+Two routes from an AnnotationSet to a fixed-length code, a (blocks, M)
+float array with one block of M measurements per projected signal:
 
 * reshaping route: rasterize the annotations to a binary map, flatten it
-  with the column-major rule index = x + h(y-1), project once.
+  with the column-major rule index = x + h(y-1) into a dense location
+  signal of length w*h, project once (one block).
 * axis route: place L directed lines (observation axes) uniformly around
   and outside the image, record each cell on each axis as (bin along the
-  axis, signed perpendicular distance), project each axis signal and
-  concatenate.
+  axis, signed perpendicular distance) in a dense per-axis signal, and
+  project each axis signal into its own block (L blocks).
 
 The axes are tangent to a circle of radius half-diagonal + margin around
 the grid center, with the normal pointing back at the image, so every true
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AnnotationSet, CompressedSignal, ImageGrid, SparseLocationSignal, round_half_up
+from .core import AnnotationSet, ImageGrid, round_half_up
 from .sensing import SensingMatrix, project
 
 __all__ = [
@@ -33,7 +35,6 @@ __all__ = [
     "encode_scheme1",
     "build_axis_layout",
     "axis_geometry",
-    "project_to_axis",
     "axis_signal",
     "encode_scheme2",
 ]
@@ -46,18 +47,16 @@ def default_margin(grid: ImageGrid) -> float:
     return 0.05 * grid.diagonal
 
 
-def flatten_annotations(annotations: AnnotationSet) -> SparseLocationSignal:
-    """Binary map flattened to length N = w*h via index = x + h(y-1).
+def flatten_annotations(annotations: AnnotationSet) -> np.ndarray:
+    """Binary map flattened to a length N = w*h signal via index = x + h(y-1).
 
     Centroids are rounded to pixels first. Distinct cells that round to the
     same pixel (or, on non-square grids, to the same index, since the
-    formula is only a bijection when w = h) collapse to one entry; the
-    collapse count is reported in the signal metadata.
+    formula is only a bijection when w = h) collapse to one entry.
     """
     grid = annotations.grid
     n = grid.n_pixels
-    taken = set()
-    collapsed = 0
+    f = np.zeros(n)
     for cx, cy in annotations.cells:
         x = min(max(round_half_up(cx), 1), grid.width)
         y = min(max(round_half_up(cy), 1), grid.height)
@@ -67,27 +66,18 @@ def flatten_annotations(annotations: AnnotationSet) -> SparseLocationSignal:
                 f"cell ({cx}, {cy}) maps to index {index} outside [1, {n}]; "
                 f"the x + h(y-1) rule is only a bijection on square grids"
             )
-        if index in taken:
-            collapsed += 1
-        else:
-            taken.add(index)
-    indices = np.sort(np.fromiter(taken, dtype=np.int64, count=len(taken)))
-    return SparseLocationSignal(
-        length=n,
-        indices=indices,
-        values=np.ones(indices.size),
-        collapsed_duplicates=collapsed,
-    )
+        f[index - 1] = 1.0
+    return f
 
 
-def encode_scheme1(annotations: AnnotationSet, phi: SensingMatrix) -> CompressedSignal:
-    """Single projection of the flattened annotation map."""
+def encode_scheme1(annotations: AnnotationSet, phi: SensingMatrix) -> np.ndarray:
+    """Single projection of the flattened annotation map: one (1, M) block."""
     f = flatten_annotations(annotations)
-    if phi.cols != f.length:
+    if phi.cols != f.size:
         raise ValueError(
-            f"matrix expects signals of length {phi.cols}, grid gives {f.length}"
+            f"matrix expects signals of length {phi.cols}, grid gives {f.size}"
         )
-    return CompressedSignal(values=project(phi, f.to_dense()), block_size=phi.rows)
+    return project(phi, f)[None, :]
 
 
 @dataclass(frozen=True)
@@ -217,12 +207,12 @@ def _project_cells(cells: np.ndarray, axes) -> tuple:
     return r, d
 
 
-def _axis_entries(annotations: AnnotationSet, axes) -> tuple:
-    """Every axis's stored (bin, distance) entries, resolved for bin conflicts.
+def _axis_signals(annotations: AnnotationSet, axes, bins: int) -> np.ndarray:
+    """Every axis's location signal as a row of a dense (axes, bins) array:
+    each cell's signed distance at its bin, bin conflicts resolved.
 
-    Returns (axis positions, bins, distances) sorted by axis position, then
-    bin, and the per-axis count of cells that lost a bin conflict. Within
-    one (axis, bin) group the cell with the smallest (|d|, x, y) wins.
+    Within one (axis, bin) group the cell with the smallest (|d|, x, y)
+    wins; the others are still seen by other axes.
     """
     cells = annotations.coords()
     r, d = _project_cells(cells, axes)
@@ -236,35 +226,25 @@ def _axis_entries(annotations: AnnotationSet, axes) -> tuple:
     pos, r, d = pos[first], r[first], d[first]
     if not (d.all() and np.isfinite(d).all()):
         raise ValueError("a cell lies on an observation axis: stored distances must be nonzero and finite")
-    return pos, r, d, k - np.bincount(pos, minlength=n)
+    signals = np.zeros((n, bins))
+    signals[pos, r - 1] = d
+    return signals
 
 
-def project_to_axis(cell, axis: ObservationAxis) -> tuple:
-    """(bin, signed distance) of one point on one axis."""
-    r, d = _project_cells(np.array([cell], dtype=np.float64), (axis,))
-    return int(r[0, 0]), float(d[0, 0])
-
-
-def axis_signal(annotations: AnnotationSet, axis: ObservationAxis) -> SparseLocationSignal:
-    """Per-axis location signal: signed distances stored at projected bins.
+def axis_signal(annotations: AnnotationSet, axis: ObservationAxis) -> np.ndarray:
+    """Per-axis location signal of length bin_count: signed distances at
+    the projected bins.
 
     When two cells land in the same bin the one with the smaller absolute
-    distance wins (ties: smaller x, then smaller y); the loser is counted
-    in collapsed_duplicates and will still be seen by other axes.
+    distance wins (ties: smaller x, then smaller y); the loser will still
+    be seen by other axes.
     """
-    _, bins, dist, collapsed = _axis_entries(annotations, (axis,))
-    return SparseLocationSignal(
-        length=axis.bin_count,
-        indices=bins,
-        values=dist,
-        collapsed_duplicates=int(collapsed[0]),
-    )
+    return _axis_signals(annotations, (axis,), axis.bin_count)[0]
 
 
-def encode_scheme2(
-    annotations: AnnotationSet, layout: AxisLayout, phi: SensingMatrix
-) -> CompressedSignal:
-    """Project every axis signal and concatenate in axis order.
+def encode_scheme2(annotations: AnnotationSet, layout: AxisLayout, phi: SensingMatrix) -> np.ndarray:
+    """Project every axis signal: block i of the (L, M) result encodes
+    layout.axes[i].
 
     All axis signals are built together as the rows of one dense array;
     each row is projected on its own, because one matrix product for all
@@ -276,11 +256,5 @@ def encode_scheme2(
                 f"axis {ax.index} has {ax.bin_count} bins, matrix expects "
                 f"signals of length {phi.cols}"
             )
-    pos, bins, dist, _ = _axis_entries(annotations, layout.axes)
-    dense = np.zeros((layout.count, phi.cols))
-    dense[pos, bins - 1] = dist
-    return CompressedSignal(
-        values=np.concatenate([project(phi, row) for row in dense]),
-        block_size=phi.rows,
-        block_count=layout.count,
-    )
+    signals = _axis_signals(annotations, layout.axes, phi.cols)
+    return np.stack([project(phi, row) for row in signals])

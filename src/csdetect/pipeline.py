@@ -18,7 +18,6 @@ import numpy as np
 from .config import PipelineConfig, recovery_params
 from .core import (
     AnnotationSet,
-    CompressedSignal,
     DetectionResult,
     ImageGrid,
     load_annotations_csv,
@@ -107,7 +106,7 @@ def make_codec(config: PipelineConfig) -> Codec:
     return Codec(grid=grid, layout=layout, phi=phi, scheme=enc.scheme)
 
 
-def encode_patch(codec: Codec, annotations: AnnotationSet) -> CompressedSignal:
+def encode_patch(codec: Codec, annotations: AnnotationSet) -> np.ndarray:
     if codec.scheme == 1:
         return encode_scheme1(annotations, codec.phi)
     return encode_scheme2(annotations, codec.layout, codec.phi)
@@ -115,7 +114,7 @@ def encode_patch(codec: Codec, annotations: AnnotationSet) -> CompressedSignal:
 
 def decode_signal(
     codec: Codec,
-    y_hat: CompressedSignal,
+    y_hat: np.ndarray,
     config: PipelineConfig,
     diagnostics: dict | None = None,
 ) -> DetectionResult:
@@ -130,8 +129,11 @@ def decode_signal(
             solver=config.recovery.solver,
             diagnostics=diagnostics,
         )
+    y = np.ravel(y_hat)
+    if not np.isfinite(y).all():
+        raise ValueError("non-finite prediction")
     solve = bp_recover if config.recovery.solver == "bp" else omp_recover
-    f_hat = solve(y_hat.values, codec.phi, rec)
+    f_hat = solve(y, codec.phi, rec)
     return decode_scheme1(f_hat, codec.grid, config.decode.scheme1_threshold)
 
 
@@ -247,7 +249,7 @@ def _predict_patch(
     patch: Patch,
     model: RegressorModel | None,
     seed: int,
-) -> CompressedSignal:
+) -> np.ndarray:
     if config.predictor.mode == "oracle":
         y_true = encode_patch(codec, patch.cells)
         return oracle_predict(y_true, config.predictor.sigma_rel, seed)

@@ -1,7 +1,8 @@
 """Signal predictors: the regression stage between a patch and its code.
 
 The detection pipeline needs something that maps an image patch to the
-compressed signal its annotations would encode to. Two implementations:
+code its annotations would encode to, a (blocks, M) measurement array. Two
+implementations:
 
 * oracle_predict: the true signal plus seeded per-block Gaussian noise,
   for studying decoder behavior under a controlled error level.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompressedSignal, fmt_float
+from .core import fmt_float
 
 __all__ = [
     "TrainingExample",
@@ -44,17 +45,19 @@ _MODEL_HEADER = struct.Struct("<qqqqqq")
 _MODEL_FLOATS = struct.Struct("<dddd")
 
 
-def fuse_labels(y: CompressedSignal, cell_count: int, lam: float) -> np.ndarray:
-    """Training label {y, lambda * count}: the signal with one extra entry."""
+def fuse_labels(y: np.ndarray, cell_count: int, lam: float) -> np.ndarray:
+    """Training label {y, lambda * count}: the code's blocks end to end,
+    with one extra entry."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if cell_count < 0:
         raise ValueError("cell_count must be >= 0")
-    return np.concatenate([y.values, [lam * cell_count]])
+    return np.concatenate([np.ravel(y), [lam * cell_count]])
 
 
-def oracle_predict(y_true: CompressedSignal, sigma_rel: float, seed: int) -> CompressedSignal:
-    """The true signal corrupted by seeded Gaussian noise, block by block.
+def oracle_predict(y_true: np.ndarray, sigma_rel: float, seed: int) -> np.ndarray:
+    """The true (blocks, M) code corrupted by seeded Gaussian noise, block
+    by block.
 
     Per-block noise standard deviation is sigma_rel * ||block|| / sqrt(M),
     which makes the expected relative error of the whole vector equal to
@@ -62,19 +65,16 @@ def oracle_predict(y_true: CompressedSignal, sigma_rel: float, seed: int) -> Com
     """
     if sigma_rel < 0:
         raise ValueError("sigma_rel must be >= 0")
+    blocks = np.asarray(y_true, dtype=np.float64)
+    if blocks.ndim != 2:
+        raise ValueError(f"code of shape {blocks.shape} is not a (blocks, M) array")
     rng = np.random.default_rng(seed)
-    scale = sigma_rel / math.sqrt(y_true.block_size)
-    blocks = y_true.values.reshape(y_true.block_count, y_true.block_size)
+    scale = sigma_rel / math.sqrt(blocks.shape[1])
     # np.linalg.norm of one block is sqrt(block.dot(block)); a row-wise
     # reduction would sum in another order
     norms = np.sqrt([block.dot(block) for block in blocks])
     # one draw fills the blocks in order, the same stream as one draw per block
-    noisy = blocks + rng.normal(0.0, scale * norms[:, None], blocks.shape)
-    return CompressedSignal(
-        values=noisy,
-        block_size=y_true.block_size,
-        block_count=y_true.block_count,
-    )
+    return blocks + rng.normal(0.0, scale * norms[:, None], blocks.shape)
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,9 @@ class TrainingExample:
 
 @dataclass(frozen=True)
 class RegressorModel:
-    """One-hidden-layer network plus the label-layout metadata needed to
-    turn its raw output back into a CompressedSignal.
+    """One-hidden-layer network plus the label layout, block_count blocks
+    of block_size entries, that shapes its raw output back into a
+    (block_count, block_size) code.
 
     The network is trained against labels divided by output_scale (their
     RMS), which keeps one learning rate usable across signal scales;
@@ -286,23 +287,21 @@ def _raw_predict(model: RegressorModel, patch: np.ndarray) -> np.ndarray:
     return out[0] * model.output_scale
 
 
-def predict(model: RegressorModel, patch: np.ndarray) -> CompressedSignal:
-    """Forward pass; under label fusion the count channel is dropped."""
+def predict(model: RegressorModel, patch: np.ndarray) -> np.ndarray:
+    """Forward pass, as a (block_count, block_size) code; under label
+    fusion the count channel is dropped."""
     return predict_with_count(model, patch)[0]
 
 
 def predict_with_count(model: RegressorModel, patch: np.ndarray) -> tuple:
-    """(predicted signal, predicted cell count or None without fusion)."""
+    """(predicted code, predicted cell count or None without fusion)."""
     out = _raw_predict(model, patch)
     if model.mtl_lambda > 0:
         count = float(out[-1]) / model.mtl_lambda
         out = out[:-1]
     else:
         count = None
-    signal = CompressedSignal(
-        values=out, block_size=model.block_size, block_count=model.block_count
-    )
-    return signal, count
+    return out.reshape(model.block_count, model.block_size), count
 
 
 def save_model(model: RegressorModel, path) -> None:

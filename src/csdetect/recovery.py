@@ -1,11 +1,12 @@
 """L1 sparse recovery from compressed measurements.
 
-Two solvers with the same contract (measurement vector in, sparse location
-signal out). Each solves a stack of problems against one matrix together,
-one row per problem, with matrix-matrix products (omp_recover_rows,
-bp_recover_rows), and returns the solutions as one dense (rows, N) array
-with each row's iteration count and convergence flag; omp_recover and
-bp_recover are their one-row calls and return the signal alone.
+Two solvers with the same contract (measurement vector of length M in,
+dense location signal of length N out, zero off its support). Each solves
+a stack of problems against one matrix together, one row per problem, with
+matrix-matrix products (omp_recover_rows, bp_recover_rows), and returns the
+solutions as one dense (rows, N) array with each row's iteration count and
+convergence flag; omp_recover and bp_recover are their one-row calls and
+return the signal alone.
 
 * omp: orthogonal matching pursuit, greedy column selection with a
   least-squares refit of the active set each round. Every row of the stack
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseLocationSignal
 from .sensing import SensingMatrix
 
 __all__ = [
@@ -88,13 +88,13 @@ def default_max_sparsity(rows: int, cols: int) -> int:
     return max(1, int(math.ceil(rows / (4.0 * math.log(cols)))))
 
 
-def _one_row(solve_rows, y: np.ndarray, phi: SensingMatrix, *args) -> SparseLocationSignal:
+def _one_row(solve_rows, y: np.ndarray, phi: SensingMatrix, *args) -> np.ndarray:
     """A row solver's call on one measurement vector, as a one-row stack:
-    the signal of the solution's only row."""
+    the solution's only row."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (phi.rows,):
         raise ValueError(f"measurement length {y.shape} does not match {phi.rows} rows")
-    return SparseLocationSignal.from_dense(solve_rows(y[None, :], phi, *args)[0][0])
+    return solve_rows(y[None, :], phi, *args)[0][0]
 
 
 def _stack(ys: np.ndarray, m: int):
@@ -110,7 +110,7 @@ def omp_recover(
     y: np.ndarray,
     phi: SensingMatrix,
     params: RecoveryParams | None = None,
-) -> SparseLocationSignal:
+) -> np.ndarray:
     """Greedy pursuit of one measurement vector: the one-row call of
     omp_recover_rows."""
     return _one_row(omp_recover_rows, y, phi, params)
@@ -301,7 +301,7 @@ def bp_recover(
     phi: SensingMatrix,
     params: RecoveryParams | None = None,
     op_norm_sq: float | None = None,
-) -> SparseLocationSignal:
+) -> np.ndarray:
     """Basis pursuit denoising of one measurement vector: the one-row call
     of bp_recover_rows."""
     return _one_row(bp_recover_rows, y, phi, params, op_norm_sq)

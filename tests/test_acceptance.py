@@ -88,8 +88,8 @@ def noise_sweep(axis_channel):
             err = 0.0
             for record in diag["axes"]:
                 axis = layout.axes[record["axis"] - 1]
-                f_true = axis_signal(ann, axis).to_dense()
-                err += float(np.sum((record["signal"].to_dense() - f_true) ** 2))
+                f_true = axis_signal(ann, axis)
+                err += float(np.sum((record["signal"] - f_true) ** 2))
             errors.append(err)
         f1[sigma] = aggregate_reports(reports)[2]
         recon[sigma] = float(np.median(errors))
@@ -108,10 +108,10 @@ def test_criterion_1_flat_route_exact_round_trip():
         flat = rng.choice(4096, size=10, replace=False)
         cells = tuple((float(i % 64 + 1), float(i // 64 + 1)) for i in flat)
         ann = AnnotationSet(grid=grid, cells=cells)
-        truth = flatten_annotations(ann).to_dense()
+        truth = flatten_annotations(ann)
         y = encode_scheme1(ann, phi)
         for name, solve in (("bp", bp_recover), ("omp", omp_recover)):
-            f_hat = solve(y.values, phi, params).to_dense()
+            f_hat = solve(y[0], phi, params)
             if np.array_equal((f_hat >= 0.5).astype(float), truth):
                 exact[name] += 1
     elapsed = time.perf_counter() - started

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from csdetect import decoder, pipeline
 from csdetect.cli import entry
 from csdetect.config import ConfigError, default_config, load_config, save_config
 from csdetect.predictor import init_model, oracle_predict, save_model
@@ -215,23 +216,37 @@ def test_run_detection_counts_failures(tmp_path):
     assert results == []
 
 
-@pytest.mark.parametrize("solver", ["bp", "omp"])
-def test_run_detection_reports_non_finite_predictions(tmp_path, caplog, solver):
+@pytest.mark.parametrize("scheme, solver", [
+    pytest.param(2, "bp", id="bp"),
+    pytest.param(2, "omp", id="omp"),
+    pytest.param(1, "bp", id="scheme1-bp"),
+    pytest.param(1, "omp", id="scheme1-omp"),
+])
+def test_run_detection_reports_non_finite_predictions(tmp_path, caplog, monkeypatch, scheme, solver):
     doc = dict(SMALL, predictor=dict(SMALL["predictor"], mode="trained"),
-               recovery=dict(SMALL["recovery"], solver=solver))
+               recovery=dict(SMALL["recovery"], solver=solver),
+               encoder=dict(SMALL["encoder"], scheme=scheme))
     config = load_config(_write_config(tmp_path / "c.yaml", doc))
     codec = make_codec(config)
-    model = init_model(input_edge=8, hidden=8, block_size=12, block_count=6,
+    model = init_model(input_edge=8, hidden=8, block_size=12, block_count=6 if scheme == 2 else 1,
                        mtl_lambda=0.2, seed=0)
     model = dataclasses.replace(model, output_scale=math.nan)
     grid = ImageGrid(32, 32)
     images = [("img7", np.zeros((32, 32)), AnnotationSet(grid=grid, cells=((5.0, 5.0),)))]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solver ran on a non-finite prediction")
+
+    for module, name in ((pipeline, "bp_recover"), (pipeline, "omp_recover"),
+                         (decoder, "bp_recover_rows"), (decoder, "omp_recover_rows")):
+        monkeypatch.setattr(module, name, no_solve)
     with caplog.at_level(logging.ERROR, logger="csdetect.pipeline"):
         results, failures = run_detection(config, codec, images, model=model)
     assert (results, failures) == ([], 1)
     (record,) = caplog.records
     assert record.getMessage() == "image img7 failed"
-    assert str(record.exc_info[1]) == "patch at (0, 0): non-finite prediction on axes 1,2,3,4,5,6"
+    on_axes = " on axes 1,2,3,4,5,6" if scheme == 2 else ""
+    assert str(record.exc_info[1]) == f"patch at (0, 0): non-finite prediction{on_axes}"
 
 
 @pytest.mark.parametrize("width, offsets, merge_min_count, expected", [
@@ -324,7 +339,8 @@ def test_diagnostics_rows_match_a_per_axis_recomputation(workspace):
                 ox, oy = axis.origin
                 dx, dy = axis.direction
                 nx, ny = axis.normal
-                for r, d in zip(record["signal"].indices.tolist(), record["signal"].values.tolist()):
+                bins = np.flatnonzero(record["signal"])
+                for r, d in zip((bins + 1).tolist(), record["signal"][bins].tolist()):
                     expected.append({
                         "offset": 0, "patch_x": px, "patch_y": py, "axis": axis.index,
                         "x": ox + r * dx + d * nx + px, "y": oy + r * dy + d * ny + py,

@@ -1,4 +1,4 @@
-"""Domain types: grids, annotations, sparse/compressed signals, CSV I/O."""
+"""Domain types: grids, annotations, detections, CSV I/O."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from csdetect.core import (
     AnnotationSet,
-    CompressedSignal,
     DetectedPoint,
     DetectionResult,
     ImageGrid,
-    SparseLocationSignal,
     load_annotations_csv,
     round_half_up,
     save_annotations_csv,
@@ -119,67 +117,6 @@ def test_annotations_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="header"):
         load_annotations_csv(path, ImageGrid(4, 4))
-
-
-def test_sparse_signal_validation():
-    SparseLocationSignal(length=8, indices=np.array([1, 8]), values=np.array([1.0, -2.0]))
-    with pytest.raises(ValueError):
-        SparseLocationSignal(length=8, indices=np.array([0]), values=np.array([1.0]))
-    with pytest.raises(ValueError):
-        SparseLocationSignal(length=8, indices=np.array([9]), values=np.array([1.0]))
-    with pytest.raises(ValueError):
-        SparseLocationSignal(length=8, indices=np.array([3, 2]), values=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        SparseLocationSignal(length=8, indices=np.array([3]), values=np.array([0.0]))
-    with pytest.raises(ValueError):
-        SparseLocationSignal(length=8, indices=np.array([3]), values=np.array([np.inf]))
-
-
-def test_sparse_signal_dense_round_trip():
-    dense = np.zeros(10)
-    dense[[0, 4, 9]] = (0.5, -1.0, 2.0)
-    sig = SparseLocationSignal.from_dense(dense)
-    assert sig.nnz == 3
-    assert list(sig.indices) == [1, 5, 10]
-    assert np.array_equal(sig.to_dense(), dense)
-
-
-def test_sparse_signal_equality_ignores_collapse_metadata():
-    a = SparseLocationSignal(length=4, indices=np.array([2]), values=np.array([1.0]))
-    b = SparseLocationSignal(
-        length=4, indices=np.array([2]), values=np.array([1.0]), collapsed_duplicates=3
-    )
-    assert a == b
-    c = SparseLocationSignal(length=4, indices=np.array([3]), values=np.array([1.0]))
-    assert a != c
-
-
-def test_sparse_signal_arrays_are_read_only():
-    sig = SparseLocationSignal(length=4, indices=np.array([2]), values=np.array([1.0]))
-    with pytest.raises(ValueError):
-        sig.values[0] = 5.0
-
-
-def test_compressed_signal_blocks():
-    y = CompressedSignal(values=np.arange(6, dtype=float), block_size=3, block_count=2)
-    assert y.length == 6
-    assert np.array_equal(y.block(0), [0.0, 1.0, 2.0])
-    assert np.array_equal(y.block(1), [3.0, 4.0, 5.0])
-    with pytest.raises(IndexError):
-        y.block(2)
-
-
-def test_compressed_signal_validates_length():
-    with pytest.raises(ValueError):
-        CompressedSignal(values=np.arange(5, dtype=float), block_size=3, block_count=2)
-
-
-def test_compressed_signal_equality():
-    a = CompressedSignal(values=np.ones(4), block_size=2, block_count=2)
-    b = CompressedSignal(values=np.ones(4), block_size=2, block_count=2)
-    c = CompressedSignal(values=np.ones(4), block_size=4, block_count=1)
-    assert a == b
-    assert a != c
 
 
 def test_detected_point_validation():

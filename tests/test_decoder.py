@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csdetect import decoder
-from csdetect.core import (
-    AnnotationSet,
-    CompressedSignal,
-    DetectionResult,
-    ImageGrid,
-    SparseLocationSignal,
-)
+from csdetect.core import AnnotationSet, DetectionResult, ImageGrid
 from csdetect.decoder import (
     DecodeParams,
     backproject_axis,
@@ -23,6 +17,7 @@ from csdetect.decoder import (
     merge_ensemble,
 )
 from csdetect.encoder import (
+    AxisLayout,
     ObservationAxis,
     axis_signal,
     build_axis_layout,
@@ -50,7 +45,8 @@ def _random_cells(grid, k, min_sep, rng, pad=1.0):
 
 def test_decode_scheme1_threshold_above_max_is_empty():
     grid = ImageGrid(4, 4)
-    sig = SparseLocationSignal(length=16, indices=np.array([5]), values=np.array([0.8]))
+    sig = np.zeros(16)
+    sig[5 - 1] = 0.8
     assert len(decode_scheme1(sig, grid, threshold=0.9)) == 0
 
 
@@ -69,19 +65,21 @@ def test_decode_scheme1_round_trip_through_both_solvers():
     y = encode_scheme1(ann, phi)
     truth = sorted((round(x), round(y_)) for x, y_ in ann.cells)
     for solver in (omp_recover, bp_recover):
-        f_hat = solver(y.values, phi)
+        f_hat = solver(y[0], phi)
         detected = decode_scheme1(f_hat, grid, threshold=0.0)
         assert sorted((p.x, p.y) for p in detected.points) == truth
 
 
 def test_decode_scheme1_rejects_length_mismatch():
-    sig = SparseLocationSignal(length=10, indices=np.array([1]), values=np.array([1.0]))
+    sig = np.zeros(10)
+    sig[0] = 1.0
     with pytest.raises(ValueError):
         decode_scheme1(sig, ImageGrid(4, 4), threshold=0.5)
 
 
 def test_backproject_axis_aligned_entry():
-    sig = SparseLocationSignal(length=10, indices=np.array([3]), values=np.array([4.0]))
+    sig = np.zeros(10)
+    sig[3 - 1] = 4.0
     votes = backproject_axis(sig, X_AXIS)
     assert votes.shape == (1, 3)
     assert (votes[0, 0], votes[0, 1]) == (3.0, 4.0)
@@ -89,8 +87,7 @@ def test_backproject_axis_aligned_entry():
 
 
 def test_backproject_zero_signal():
-    empty = SparseLocationSignal(length=10, indices=np.array([], dtype=np.int64), values=np.array([]))
-    assert backproject_axis(empty, X_AXIS).shape == (0, 3)
+    assert backproject_axis(np.zeros(10), X_AXIS).shape == (0, 3)
 
 
 def test_backproject_round_trip_within_bin_rounding():
@@ -112,9 +109,9 @@ def test_backproject_matches_one_vote_at_a_time():
     for axis in layout.axes:
         indices = np.sort(rng.choice(axis.bin_count, size=9, replace=False)) + 1
         values = rng.normal(0.0, 20.0, size=9)
-        votes = backproject_axis(
-            SparseLocationSignal(length=axis.bin_count, indices=indices, values=values), axis
-        )
+        sig = np.zeros(axis.bin_count)
+        sig[indices - 1] = values
+        votes = backproject_axis(sig, axis)
         ox, oy = axis.origin
         dx, dy = axis.direction
         nx, ny = axis.normal
@@ -126,13 +123,15 @@ def test_backproject_matches_one_vote_at_a_time():
 
 
 def test_backproject_validation():
-    short = SparseLocationSignal(length=9, indices=np.array([3]), values=np.array([4.0]))
+    short = np.zeros(9)
+    short[3 - 1] = 4.0
     with pytest.raises(ValueError, match="bin count"):
         backproject_axis(short, X_AXIS)
     far = ObservationAxis(
         index=1, origin=(1e308, 0.0), direction=(0.0, 1.0), normal=(-1.0, 0.0), bin_count=10
     )
-    huge = SparseLocationSignal(length=10, indices=np.array([2]), values=np.array([-1.7e308]))
+    huge = np.zeros(10)
+    huge[2 - 1] = -1.7e308
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
         backproject_axis(huge, far)
 
@@ -349,6 +348,20 @@ def test_decode_scheme2_zero_signal_is_empty():
     assert len(decode_scheme2(y, layout, phi)) == 0
 
 
+def test_decode_scheme2_reads_block_i_for_the_layouts_axis_i():
+    # block i of the code encodes layout.axes[i], whatever the axes' indices
+    grid = ImageGrid(64, 64)
+    forward = build_axis_layout(grid, 6)
+    backward = AxisLayout(axes=forward.axes[::-1], grid=grid, margin=forward.margin)
+    phi = make_sensing_matrix(40, forward.bin_count, seed=4)
+    ann = AnnotationSet(grid=grid, cells=((20.0, 24.0), (44.0, 40.0)))
+    want = decode_scheme2(encode_scheme2(ann, forward, phi), forward, phi)
+    got = decode_scheme2(encode_scheme2(ann, backward, phi), backward, phi)
+    assert len(want) == 2
+    assert len(got) == 2
+    np.testing.assert_allclose(sorted(got.coords().tolist()), sorted(want.coords().tolist()), atol=1e-9)
+
+
 def test_decode_scheme2_noiseless_operating_point():
     grid = ImageGrid(260, 260)
     layout = build_axis_layout(grid, 27)
@@ -433,13 +446,11 @@ def test_decode_scheme2_bp_axes_match_one_axis_solves():
     diag = {}
     decode_scheme2(y_hat, layout, phi, recovery=recovery, diagnostics=diag)
     assert [record["axis"] for record in diag["axes"]] == list(range(1, 28))
-    for record in diag["axes"]:
-        block = y_hat.block(record["axis"] - 1)
+    for block, record in zip(y_hat, diag["axes"], strict=True):
         (row,), iterations, converged = bp_recover_rows(block[None], phi, recovery)
-        one = SparseLocationSignal.from_dense(row)
-        assert one == bp_recover(block, phi, recovery)
-        assert np.array_equal(record["signal"].indices, one.indices)
-        np.testing.assert_allclose(record["signal"].values, one.values, rtol=1e-12, atol=0.0)
+        assert np.array_equal(row, bp_recover(block, phi, recovery))
+        assert np.array_equal(np.flatnonzero(record["signal"]), np.flatnonzero(row))
+        np.testing.assert_allclose(record["signal"], row, rtol=1e-12, atol=0.0)
         assert record["iterations"] == iterations[0]
         assert record["converged"] == converged[0]
         _assert_votes_are_one_axis_backprojection(record, layout)
@@ -456,13 +467,11 @@ def test_decode_scheme2_omp_axes_match_one_axis_solves():
     diag = {}
     decode_scheme2(y_hat, layout, phi, recovery=recovery, solver="omp", diagnostics=diag)
     assert [record["axis"] for record in diag["axes"]] == list(range(1, 28))
-    for record in diag["axes"]:
-        block = y_hat.block(record["axis"] - 1)
+    for block, record in zip(y_hat, diag["axes"], strict=True):
         (row,), iterations, converged = omp_recover_rows(block[None], phi, recovery)
-        one = SparseLocationSignal.from_dense(row)
-        assert one == omp_recover(block, phi, recovery)
-        assert np.array_equal(record["signal"].indices, one.indices)
-        np.testing.assert_allclose(record["signal"].values, one.values, rtol=1e-12, atol=0.0)
+        assert np.array_equal(row, omp_recover(block, phi, recovery))
+        assert np.array_equal(np.flatnonzero(record["signal"]), np.flatnonzero(row))
+        np.testing.assert_allclose(record["signal"], row, rtol=1e-12, atol=0.0)
         assert record["iterations"] == iterations[0]
         assert record["converged"] == converged[0]
         _assert_votes_are_one_axis_backprojection(record, layout)
@@ -476,7 +485,7 @@ def test_decode_scheme2_rejects_non_finite_before_any_solve(monkeypatch, solver)
     values = np.full(6 * 12, 0.1)
     values[2 * 12 + 3] = np.nan
     values[5 * 12] = -np.inf
-    y_hat = CompressedSignal(values=values, block_size=12, block_count=6)
+    y_hat = values.reshape(6, 12)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solver ran on a non-finite prediction")
@@ -492,7 +501,7 @@ def test_decode_scheme2_rejects_non_finite_solver_output(monkeypatch, solver):
     grid = ImageGrid(24, 24)
     layout = build_axis_layout(grid, 6)
     phi = make_sensing_matrix(12, layout.bin_count, seed=3)
-    y_hat = CompressedSignal(values=np.full(6 * 12, 0.1), block_size=12, block_count=6)
+    y_hat = np.full((6, 12), 0.1)
 
     def nan_solve(ys, *args, **kwargs):
         x = np.zeros((len(ys), phi.cols))

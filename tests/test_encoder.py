@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdetect.core import AnnotationSet, ImageGrid, SparseLocationSignal, round_half_up
+from csdetect.core import AnnotationSet, ImageGrid, round_half_up
 from csdetect.encoder import (
     AxisLayout,
     ObservationAxis,
@@ -18,7 +18,6 @@ from csdetect.encoder import (
     encode_scheme1,
     encode_scheme2,
     flatten_annotations,
-    project_to_axis,
 )
 from csdetect.sensing import make_sensing_matrix, project
 
@@ -31,30 +30,29 @@ def test_default_margin_is_five_percent_of_diagonal():
 def test_flatten_identity_cell():
     grid = ImageGrid(4, 4)
     sig = flatten_annotations(AnnotationSet(grid=grid, cells=((1.0, 1.0),)))
-    assert sig.length == 16
-    assert list(sig.indices) == [1]
-    assert list(sig.values) == [1.0]
+    assert sig.shape == (16,)
+    assert np.flatnonzero(sig).tolist() == [0]
+    assert sig[0] == 1.0
 
 
 def test_flatten_empty_is_zero_signal():
     sig = flatten_annotations(AnnotationSet(grid=ImageGrid(4, 4)))
-    assert sig.length == 16
-    assert sig.nnz == 0
+    assert np.array_equal(sig, np.zeros(16))
 
 
 def test_flatten_index_rule():
     grid = ImageGrid(4, 4)
     # index = x + h(y-1): (2, 3) -> 2 + 4*2 = 10
     sig = flatten_annotations(AnnotationSet(grid=grid, cells=((2.0, 3.0),)))
-    assert list(sig.indices) == [10]
+    assert np.flatnonzero(sig).tolist() == [10 - 1]
 
 
 def test_flatten_collapses_coincident_pixels():
     grid = ImageGrid(8, 8)
     ann = AnnotationSet(grid=grid, cells=((3.1, 3.1), (3.2, 2.9), (6.0, 6.0)))
     sig = flatten_annotations(ann)
-    assert sig.nnz == 2
-    assert sig.collapsed_duplicates == 1
+    assert np.flatnonzero(sig).tolist() == [3 + 8 * 2 - 1, 6 + 8 * 5 - 1]
+    assert sig.sum() == 2.0
 
 
 def test_flatten_rejects_out_of_range_index():
@@ -68,13 +66,13 @@ def test_scheme1_zero_and_linearity():
     grid = ImageGrid(8, 8)
     phi = make_sensing_matrix(20, 64, seed=1)
     zero = encode_scheme1(AnnotationSet(grid=grid), phi)
-    assert np.array_equal(zero.values, np.zeros(20))
+    assert np.array_equal(zero, np.zeros((1, 20)))
 
     a = AnnotationSet(grid=grid, cells=((2.0, 2.0), (7.0, 3.0)))
     b = AnnotationSet(grid=grid, cells=((4.0, 6.0), (1.0, 8.0)))
     both = AnnotationSet(grid=grid, cells=a.cells + b.cells)
-    lhs = encode_scheme1(both, phi).values
-    rhs = encode_scheme1(a, phi).values + encode_scheme1(b, phi).values
+    lhs = encode_scheme1(both, phi)
+    rhs = encode_scheme1(a, phi) + encode_scheme1(b, phi)
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -119,17 +117,27 @@ def test_layout_margin_must_be_positive():
         build_axis_layout(ImageGrid(20, 20), 4, margin=0.0)
 
 
+def _one_cell_entry(cell, axis, grid):
+    """(bin, signed distance) of one cell: the only entry of its axis signal."""
+    sig = axis_signal(AnnotationSet(grid=grid, cells=(cell,)), axis)
+    (r,) = np.flatnonzero(sig) + 1
+    return int(r), float(sig[r - 1])
+
+
 def test_project_to_axis_axis_aligned():
+    grid = ImageGrid(10, 10)
     x_axis = ObservationAxis(
         index=1, origin=(0.0, 0.0), direction=(1.0, 0.0), normal=(0.0, 1.0), bin_count=10
     )
-    assert project_to_axis((3.0, 4.0), x_axis) == (3, 4.0)
-    assert project_to_axis((5.0, 0.0), x_axis)[1] == 0.0
+    assert _one_cell_entry((3.0, 4.0), x_axis, grid) == (3, 4.0)
+    through = replace(x_axis, origin=(0.0, 5.0))  # the cell (5, 5) sits on it: d = 0
+    with pytest.raises(ValueError, match="nonzero"):
+        axis_signal(AnnotationSet(grid=grid, cells=((5.0, 5.0),)), through)
 
     y_axis = ObservationAxis(
         index=2, origin=(10.0, 0.0), direction=(0.0, 1.0), normal=(-1.0, 0.0), bin_count=10
     )
-    r, d = project_to_axis((3.0, 4.0), y_axis)
+    r, d = _one_cell_entry((3.0, 4.0), y_axis, grid)
     assert r == 4
     assert d == pytest.approx(7.0)
 
@@ -141,7 +149,7 @@ def test_all_cells_project_to_valid_bins_with_positive_distance():
     cells = [(rng.uniform(1, 33), rng.uniform(1, 21)) for _ in range(200)]
     for axis in layout.axes:
         for cell in cells:
-            r, d = project_to_axis(cell, axis)
+            r, d = _one_cell_entry(cell, axis, grid)
             assert 1 <= r <= axis.bin_count
             assert d >= layout.margin
 
@@ -154,9 +162,8 @@ def test_axis_signal_keeps_nearest_on_bin_conflict():
     # both cells round to bin 5; the d=2 cell wins over d=6
     ann = AnnotationSet(grid=grid, cells=((5.2, 2.0), (4.8, 6.0)))
     sig = axis_signal(ann, axis)
-    assert list(sig.indices) == [5]
-    assert list(sig.values) == [2.0]
-    assert sig.collapsed_duplicates == 1
+    assert np.flatnonzero(sig).tolist() == [5 - 1]
+    assert sig[5 - 1] == 2.0
 
 
 def test_scheme2_empty_is_zero_vector():
@@ -164,8 +171,7 @@ def test_scheme2_empty_is_zero_vector():
     layout = build_axis_layout(grid, 3)
     phi = make_sensing_matrix(8, layout.bin_count, seed=2)
     y = encode_scheme2(AnnotationSet(grid=grid), layout, phi)
-    assert y.block_count == 3 and y.block_size == 8
-    assert np.array_equal(y.values, np.zeros(24))
+    assert np.array_equal(y, np.zeros((3, 8)))
 
 
 def test_scheme2_single_cell_blocks_are_scaled_columns():
@@ -174,10 +180,10 @@ def test_scheme2_single_cell_blocks_are_scaled_columns():
     phi = make_sensing_matrix(8, layout.bin_count, seed=2)
     cell = (6.0, 11.0)
     y = encode_scheme2(AnnotationSet(grid=grid, cells=(cell,)), layout, phi)
-    for axis in layout.axes:
-        r, d = project_to_axis(cell, axis)
+    for block, axis in zip(y, layout.axes, strict=True):
+        r, d = _one_cell_entry(cell, axis, grid)
         expected = d * phi.entries[:, r - 1]
-        assert np.allclose(y.block(axis.index - 1), expected, atol=1e-12)
+        assert np.allclose(block, expected, atol=1e-12)
 
 
 def test_scheme2_rejects_matrix_mismatch():
@@ -200,7 +206,8 @@ def test_scheme2_rejects_matrix_mismatch():
 
 def _axis_signal_one_cell_at_a_time(annotations, axis):
     """Reference: project each cell on its own and keep, per bin, the cell
-    with the smallest (|d|, x, y)."""
+    with the smallest (|d|, x, y). Returns (dense signal, how many cells
+    lost a bin conflict)."""
     best = {}
     collapsed = 0
     for cx, cy in annotations.cells:
@@ -216,11 +223,12 @@ def _axis_signal_one_cell_at_a_time(annotations, axis):
                 best[r] = (key, d)
         else:
             best[r] = (key, d)
-    indices = np.sort(np.fromiter(best.keys(), dtype=np.int64, count=len(best)))
-    values = np.array([best[int(r)][1] for r in indices])
-    return SparseLocationSignal(
-        length=axis.bin_count, indices=indices, values=values, collapsed_duplicates=collapsed
-    )
+    if any(d == 0.0 for _, d in best.values()):
+        raise ValueError("a zero distance won a bin")
+    dense = np.zeros(axis.bin_count)
+    for r, (_, d) in best.items():
+        dense[r - 1] = d
+    return dense, collapsed
 
 
 # axis-aligned axes with exact unit vectors: a cell at x = k + 0.5 sits
@@ -242,20 +250,17 @@ def _assert_same_signals(annotations, axes, phi=None):
     signals = []
     for axis in axes:
         try:
-            signals.append(_axis_signal_one_cell_at_a_time(annotations, axis))
+            signals.append(_axis_signal_one_cell_at_a_time(annotations, axis)[0])
         except ValueError:  # a zero distance won a bin
             with pytest.raises(ValueError, match="nonzero"):
                 axis_signal(annotations, axis)
             return
     for axis, want in zip(axes, signals):
-        got = axis_signal(annotations, axis)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.values, want.values)
-        assert got.collapsed_duplicates == want.collapsed_duplicates
+        assert np.array_equal(axis_signal(annotations, axis), want)
     if phi is not None:
         layout = AxisLayout(axes=axes, grid=annotations.grid, margin=1.0)
-        want = np.concatenate([project(phi, sig.to_dense()) for sig in signals])
-        assert np.array_equal(encode_scheme2(annotations, layout, phi).values, want)
+        want = np.stack([project(phi, sig) for sig in signals])
+        assert np.array_equal(encode_scheme2(annotations, layout, phi), want)
 
 
 def test_axis_signal_matches_one_cell_at_a_time_on_conflicts():
@@ -272,7 +277,8 @@ def test_axis_signal_matches_one_cell_at_a_time_on_conflicts():
         _assert_same_signals(ann, (_CROSSING_AXIS,))
     # both |d| = 2.5 in bin 3: the smaller x wins although its y is larger
     ann = AnnotationSet(grid=grid, cells=((3.2, 2.0), (3.0, 7.0)))
-    assert axis_signal(ann, _CROSSING_AXIS).values.tolist() == [2.5]
+    sig = axis_signal(ann, _CROSSING_AXIS)
+    assert sig[sig != 0].tolist() == [2.5]
     _assert_same_signals(ann, (_CROSSING_AXIS,))
 
 
@@ -284,7 +290,7 @@ def test_scheme2_matches_one_cell_at_a_time_on_a_crowded_layout():
     cells = {(float(x), float(y)) for x, y in rng.integers(1, 31, size=(300, 2)) * (4 / 3, 1)}
     cells |= {(float(x), float(y)) for x, y in rng.uniform(1, 30, size=(200, 2))}
     ann = AnnotationSet(grid=grid, cells=tuple(sorted(cells)))
-    collapsed = [_axis_signal_one_cell_at_a_time(ann, axis).collapsed_duplicates for axis in layout.axes]
+    collapsed = [_axis_signal_one_cell_at_a_time(ann, axis)[1] for axis in layout.axes]
     assert sum(collapsed) > 0
     _assert_same_signals(ann, layout.axes, phi)
 
