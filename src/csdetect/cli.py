@@ -129,6 +129,11 @@ def _detect_split(args, ensemble: bool) -> int:
         config = dataclasses.replace(
             config, predictor=dataclasses.replace(config.predictor, mode=args.mode)
         ).validate()
+    if not ensemble and args.diagnostics and config.encoder.scheme != 2:
+        raise ConfigError(
+            f"--diagnostics records the axis route's per-axis solves and needs "
+            f"encoder.scheme 2, got encoder.scheme {config.encoder.scheme}"
+        )
     codec = make_codec(config)
     if config.predictor.mode == "trained" and args.model is None:
         raise ConfigError("trained mode needs --model")

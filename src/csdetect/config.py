@@ -18,14 +18,12 @@ from .recovery import RecoveryParams
 __all__ = [
     "ConfigError",
     "EncoderConfig",
-    "RecoveryConfig",
     "PredictorConfig",
     "SynthConfig",
     "PatchConfig",
     "EvaluationConfig",
     "RunConfig",
     "PipelineConfig",
-    "recovery_params",
     "default_config",
     "load_config",
     "save_config",
@@ -42,16 +40,6 @@ class EncoderConfig:
     axes: int = 27
     measurements: int = 112
     margin: float | None = None  # None: 5% of the patch diagonal
-
-
-@dataclass(frozen=True)
-class RecoveryConfig:
-    solver: str = "bp"
-    max_sparsity: int | None = None
-    residual_tol: float = 1e-8
-    noise_budget_frac: float = 0.1
-    max_iterations: int = 2000
-    shrinkage_step: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -101,7 +89,7 @@ class RunConfig:
 @dataclass(frozen=True)
 class PipelineConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
+    recovery: RecoveryParams = field(default_factory=RecoveryParams)
     decode: DecodeParams = field(default_factory=DecodeParams)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
@@ -120,12 +108,6 @@ class PipelineConfig:
             raise ConfigError("encoder.axes and encoder.measurements must be >= 1")
         if enc.margin is not None and enc.margin <= 0:
             raise ConfigError("encoder.margin must be > 0 when given")
-        if self.recovery.solver not in ("bp", "omp"):
-            raise ConfigError(f"recovery.solver must be bp or omp, got {self.recovery.solver!r}")
-        try:
-            recovery_params(self)
-        except ValueError as exc:
-            raise ConfigError(f"section 'recovery': {exc}") from exc
         if patches.size < 1:
             raise ConfigError("patches.size must be >= 1")
         if not patches.offsets:
@@ -157,22 +139,9 @@ class PipelineConfig:
         return self
 
 
-def recovery_params(config: PipelineConfig) -> RecoveryParams:
-    """The solver controls of the `recovery` section; `solver` itself picks
-    the routine and is not one of them."""
-    rec = config.recovery
-    return RecoveryParams(
-        max_sparsity=rec.max_sparsity,
-        residual_tol=rec.residual_tol,
-        noise_budget_frac=rec.noise_budget_frac,
-        max_iterations=rec.max_iterations,
-        shrinkage_step=rec.shrinkage_step,
-    )
-
-
 _SECTIONS = {
     "encoder": EncoderConfig,
-    "recovery": RecoveryConfig,
+    "recovery": RecoveryParams,
     "decode": DecodeParams,
     "predictor": PredictorConfig,
     "synth": SynthConfig,

@@ -1,7 +1,8 @@
 """From recovered location signals back to point detections.
 
 Signals are dense float arrays that are zero off their support; the axis
-route recovers them as the rows of one (axes, bins) array.
+route recovers them as the rows of one (axes, bins) array with
+recovery.recover_rows, which runs the solver its RecoveryParams name.
 
 Reshaping route: threshold the recovered map signal and invert the
 index = x + h(y-1) rule.
@@ -25,8 +26,9 @@ import numpy as np
 
 from .core import DetectedPoint, DetectionResult, ImageGrid
 from .encoder import AxisLayout, ObservationAxis, axis_geometry
-from .recovery import RecoveryParams, bp_recover_rows, omp_recover_rows, operator_norm_sq
-from .recovery import bp_recover, omp_recover  # noqa: F401  unused; perfbench/tracing.py wraps them by these names
+from .recovery import RecoveryParams, recover_rows
+# unused here; perfbench/tracing.py wraps these names on this module
+from .recovery import bp_recover, omp_recover, operator_norm_sq  # noqa: F401
 from .sensing import SensingMatrix
 
 __all__ = [
@@ -209,17 +211,16 @@ def decode_scheme2(
     phi: SensingMatrix,
     params: DecodeParams | None = None,
     recovery: RecoveryParams | None = None,
-    solver: str = "bp",
     diagnostics: dict | None = None,
 ) -> DetectionResult:
     """Full axis-route decode of an (L, M) measurement array whose block i
     encodes layout.axes[i].
 
-    Recover every axis's sparse signal (either solver recovers the L blocks
-    together in one batched run) and back-project them to candidate
-    points in one pass. Pooled candidates are noise-filtered and mean-shift clustered;
-    clusters with support >= min_support become detections at the cluster
-    mean. A non-converging axis is logged and
+    Recover every axis's sparse signal (recover_rows solves the L blocks
+    together in one batched run of recovery.solver) and back-project them
+    to candidate points in one pass. Pooled candidates are noise-filtered
+    and mean-shift clustered; clusters with support >= min_support become
+    detections at the cluster mean. A non-converging axis is logged and
     decoded with its best iterate rather than aborting the others. A
     non-finite prediction is rejected before any solve.
     """
@@ -232,18 +233,12 @@ def decode_scheme2(
         )
     if any(axis.bin_count != phi.cols for axis in layout.axes):
         raise ValueError("matrix columns do not match the layout's bins")
-    if solver not in ("bp", "omp"):
-        raise ValueError(f"unknown solver {solver!r}")
     finite = np.isfinite(blocks).all(axis=1)
     if not finite.all():
         bad = [str(axis.index) for axis, ok in zip(layout.axes, finite) if not ok]
         raise ValueError(f"non-finite prediction on axes {','.join(bad)}")
 
-    if solver == "bp":
-        norm_sq = operator_norm_sq(phi.entries)
-        x, iterations, converged = bp_recover_rows(blocks, phi, recovery, op_norm_sq=norm_sq)
-    else:
-        x, iterations, converged = omp_recover_rows(blocks, phi, recovery)
+    x, iterations, converged = recover_rows(blocks, phi, recovery)
 
     rows, bins = np.nonzero(x)  # row-major: axis order, then bin order within an axis
     candidates = _votes(axis_geometry(layout.axes)[rows], bins + 1, x[rows, bins])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig, recovery_params
+from .config import PipelineConfig
 from .core import (
     AnnotationSet,
     DetectionResult,
@@ -34,7 +34,7 @@ from .predictor import (
     predict,
     train_regressor,
 )
-from .recovery import bp_recover, omp_recover
+from .recovery import recover_rows
 from .sensing import SensingMatrix, make_sensing_matrix
 from .synthdata import (
     Patch,
@@ -118,22 +118,19 @@ def decode_signal(
     config: PipelineConfig,
     diagnostics: dict | None = None,
 ) -> DetectionResult:
-    rec = recovery_params(config)
     if codec.scheme == 2:
         return decode_scheme2(
             y_hat,
             codec.layout,
             codec.phi,
             params=config.decode,
-            recovery=rec,
-            solver=config.recovery.solver,
+            recovery=config.recovery,
             diagnostics=diagnostics,
         )
-    y = np.ravel(y_hat)
-    if not np.isfinite(y).all():
+    code = np.reshape(y_hat, (1, -1))
+    if not np.isfinite(code).all():
         raise ValueError("non-finite prediction")
-    solve = bp_recover if config.recovery.solver == "bp" else omp_recover
-    f_hat = solve(y, codec.phi, rec)
+    (f_hat,), _, _ = recover_rows(code, codec.phi, config.recovery)
     return decode_scheme1(f_hat, codec.grid, config.decode.scheme1_threshold)
 
 

@@ -6,7 +6,9 @@ a stack of problems against one matrix together, one row per problem, with
 matrix-matrix products (omp_recover_rows, bp_recover_rows), and returns the
 solutions as one dense (rows, N) array with each row's iteration count and
 convergence flag; omp_recover and bp_recover are their one-row calls and
-return the signal alone.
+return the signal alone. RecoveryParams is the `recovery:` config section;
+recover_rows runs the solver its `solver` field names, and is what both
+decoding routes call.
 
 * omp: orthogonal matching pursuit, greedy column selection with a
   least-squares refit of the active set each round. Every row of the stack
@@ -33,6 +35,7 @@ from .sensing import SensingMatrix
 
 __all__ = [
     "RecoveryParams",
+    "recover_rows",
     "default_max_sparsity",
     "omp_recover",
     "omp_recover_rows",
@@ -42,7 +45,7 @@ __all__ = [
     "operator_norm_sq",
 ]
 
-# relative floor standing in for the equality constraint when noise_budget=0
+# relative floor standing in for the equality constraint when noise_budget_frac=0
 _EQUALITY_FLOOR = 1e-9
 # entries below this fraction of the peak are shrinkage dust, not support
 _HARD_FLOOR = 1e-4
@@ -52,35 +55,44 @@ _PHASE_ITERATIONS = 25
 
 @dataclass(frozen=True)
 class RecoveryParams:
-    """Solver controls shared by both recovery routes.
+    """The `recovery:` config section, shared by both decoding routes.
 
+    solver: "bp" (basis pursuit) or "omp" (orthogonal matching pursuit).
     max_sparsity: active-set cap for OMP; None means ceil(M / (4 ln N)).
     residual_tol: stopping residual, relative to ||y||.
-    noise_budget: absolute eps for basis pursuit denoising.
-    noise_budget_frac: optional relative eps (frac * ||y||); the larger of
-        the two budgets wins. This is how the pipeline expresses
-        "eps = 0.1 * ||y||" without knowing ||y|| up front.
+    noise_budget_frac: basis pursuit's eps relative to the measurements,
+        eps = frac * ||y||, so it needs no ||y|| up front.
+    max_iterations: BP shrinkage iterations, and a second cap on OMP atoms.
     shrinkage_step: step size as a fraction of 1 / ||Phi||^2.
     """
 
+    solver: str = "bp"
     max_sparsity: int | None = None
     residual_tol: float = 1e-8
-    noise_budget: float = 0.0
-    noise_budget_frac: float = 0.0
+    noise_budget_frac: float = 0.1
     max_iterations: int = 2000
     shrinkage_step: float = 1.0
 
     def __post_init__(self):
+        if self.solver not in ("bp", "omp"):
+            raise ValueError(f"solver must be bp or omp, got {self.solver!r}")
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.noise_budget < 0 or self.noise_budget_frac < 0:
-            raise ValueError("noise budgets must be >= 0")
+        if self.noise_budget_frac < 0:
+            raise ValueError("noise_budget_frac must be >= 0")
         if not 0 < self.shrinkage_step <= 1:
             raise ValueError("shrinkage_step must be in (0, 1]")
         if self.max_sparsity is not None and self.max_sparsity < 1:
             raise ValueError("max_sparsity must be >= 1 when given")
+
+
+def recover_rows(ys: np.ndarray, phi: SensingMatrix, params: RecoveryParams):
+    """Solve every row of ys (rows, M) with the solver params.solver names;
+    returns that solver's (x, iterations, converged)."""
+    solve = bp_recover_rows if params.solver == "bp" else omp_recover_rows
+    return solve(ys, phi, params)
 
 
 def default_max_sparsity(rows: int, cols: int) -> int:
@@ -300,18 +312,16 @@ def bp_recover(
     y: np.ndarray,
     phi: SensingMatrix,
     params: RecoveryParams | None = None,
-    op_norm_sq: float | None = None,
 ) -> np.ndarray:
     """Basis pursuit denoising of one measurement vector: the one-row call
     of bp_recover_rows."""
-    return _one_row(bp_recover_rows, y, phi, params, op_norm_sq)
+    return _one_row(bp_recover_rows, y, phi, params)
 
 
 def bp_recover_rows(
     ys: np.ndarray,
     phi: SensingMatrix,
     params: RecoveryParams | None = None,
-    op_norm_sq: float | None = None,
 ):
     """Basis pursuit denoising by shrinkage with lambda continuation, for
     every row of ys (rows, M) against one matrix.
@@ -326,8 +336,7 @@ def bp_recover_rows(
     The rows are independent problems solved together: they share the step
     and the phase schedule, every other quantity (lam, eps, best refit,
     convergence) is per row, and a row leaves the stack once its refit is
-    inside its budget. `op_norm_sq` lets callers that solve many problems
-    against one matrix reuse the power-iteration estimate of ||Phi||^2.
+    inside its budget.
 
     Returns (x, iterations, converged): row i of x (rows, N) solves row i
     of ys, and per row the shrinkage iterations it ran (int64) and whether
@@ -343,14 +352,13 @@ def bp_recover_rows(
     x_out = np.zeros((rows, n))
     iterations = np.zeros(rows, dtype=np.int64)
     converged = norm_y == 0.0
-    eps = np.maximum(params.noise_budget, max(params.noise_budget_frac, _EQUALITY_FLOOR) * norm_y)
+    eps = max(params.noise_budget_frac, _EQUALITY_FLOOR) * norm_y
     # one product per row, so a row's lambda path does not depend on the
     # rows stacked with it
     lam = np.array([0.25 * float(np.max(np.abs(a.T @ y))) for y in ys])
     lam_floor = np.where(lam > 0, 1e-12 * lam, 1.0)
     active = np.flatnonzero(~converged)
-    if active.size and op_norm_sq is None:
-        op_norm_sq = operator_norm_sq(a)
+    op_norm_sq = operator_norm_sq(a) if active.size else None
 
     y_act, lam_act = ys[active], lam[active]
     x = np.zeros((active.size, n))

@@ -83,7 +83,7 @@ def noise_sweep(axis_channel):
             y_hat = oracle_predict(encode_scheme2(ann, layout, phi), sigma, seed=5000 + i)
             diag = {}
             det = decode_scheme2(y_hat, layout, phi, params=DecodeParams(),
-                                 recovery=recovery, solver="bp", diagnostics=diag)
+                                 recovery=recovery, diagnostics=diag)
             reports.append(match_detections(det, ann, rho=6.0))
             err = 0.0
             for record in diag["axes"]:
@@ -99,7 +99,7 @@ def noise_sweep(axis_channel):
 def test_criterion_1_flat_route_exact_round_trip():
     grid = ImageGrid(64, 64)
     phi = make_sensing_matrix(333, 4096, 2201)
-    params = RecoveryParams(max_sparsity=10)
+    params = RecoveryParams(max_sparsity=10, noise_budget_frac=0.0)
     started = time.perf_counter()
     exact = {"bp": 0, "omp": 0}
     trials = 200
@@ -131,8 +131,7 @@ def test_criterion_2_axis_route_clean_identity(axis_channel):
         rng = np.random.default_rng(4000 + i)
         ann = _sample_cells(rng, grid, int(rng.integers(5, 21)))
         y = encode_scheme2(ann, layout, phi)
-        det = decode_scheme2(y, layout, phi, params=DecodeParams(),
-                             recovery=recovery, solver="bp")
+        det = decode_scheme2(y, layout, phi, params=DecodeParams(), recovery=recovery)
         report = match_detections(det, ann, rho=1.5)
         if len(det) == len(ann.cells) and report.tp == len(ann.cells):
             exact += 1
@@ -290,7 +289,7 @@ def test_criterion_9_training_lifts_f1():
     )
     untrained = init_model(16, 256, 12, 6, mtl_lambda=0.2, seed=99)
 
-    recovery = RecoveryParams(max_sparsity=1)
+    recovery = RecoveryParams(solver="omp", max_sparsity=1)
     params = DecodeParams(bandwidth=4.0, min_support=2)
     scores = {}
     for name, net in (("trained", model), ("untrained", untrained)):
@@ -300,8 +299,7 @@ def test_criterion_9_training_lifts_f1():
                 dataclasses.replace(base, seed=derive_seed(7, 10_000 + i))
             )
             y_hat = predict(net, image)
-            det = decode_scheme2(y_hat, layout, phi, params=params,
-                                 recovery=recovery, solver="omp")
+            det = decode_scheme2(y_hat, layout, phi, params=params, recovery=recovery)
             reports.append(match_detections(det, ann, rho=6.0))
         scores[name] = aggregate_reports(reports)[2]
     elapsed = time.perf_counter() - started

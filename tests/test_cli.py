@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from csdetect import decoder, pipeline
+from csdetect import recovery
 from csdetect.cli import entry
 from csdetect.config import ConfigError, default_config, load_config, save_config
 from csdetect.predictor import init_model, oracle_predict, save_model
@@ -71,6 +71,11 @@ def test_config_round_trip(tmp_path):
     assert load_config(path) == config
     assert config.synth.cell_count == (1, 2)
     assert config.patches.offsets == (0,)
+    save_config(default_config(), path)
+    assert yaml.safe_load(path.read_text())["recovery"] == {
+        "solver": "bp", "max_sparsity": None, "residual_tol": 1e-8,
+        "noise_budget_frac": 0.1, "max_iterations": 2000, "shrinkage_step": 1.0,
+    }
 
 
 def test_empty_config_gives_defaults(tmp_path):
@@ -237,9 +242,8 @@ def test_run_detection_reports_non_finite_predictions(tmp_path, caplog, monkeypa
     def no_solve(*args, **kwargs):
         raise AssertionError("a solver ran on a non-finite prediction")
 
-    for module, name in ((pipeline, "bp_recover"), (pipeline, "omp_recover"),
-                         (decoder, "bp_recover_rows"), (decoder, "omp_recover_rows")):
-        monkeypatch.setattr(module, name, no_solve)
+    monkeypatch.setattr(recovery, "bp_recover_rows", no_solve)
+    monkeypatch.setattr(recovery, "omp_recover_rows", no_solve)
     with caplog.at_level(logging.ERROR, logger="csdetect.pipeline"):
         results, failures = run_detection(config, codec, images, model=model)
     assert (results, failures) == ([], 1)
@@ -310,7 +314,7 @@ def test_cli_run_is_deterministic(workspace, tmp_path):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
 
-def test_cli_run_diagnostics(workspace, tmp_path):
+def test_cli_run_diagnostics(workspace, tmp_path, capsys):
     out = tmp_path / "diag"
     code = entry(["run", "--config", workspace["config"], "--diagnostics",
                   "--manifest", workspace["manifest"], "--out", str(out)])
@@ -319,6 +323,17 @@ def test_cli_run_diagnostics(workspace, tmp_path):
     assert [p.name for p in files] == ["test_000_candidates.csv", "test_001_candidates.csv"]
     header = files[0].read_text().splitlines()[0]
     assert header == "offset,patch_x,patch_y,axis,x,y,magnitude,iterations,converged"
+
+    # only the axis route records per-axis solves
+    flat = _write_config(tmp_path / "flat.yaml", dict(SMALL, encoder=dict(SMALL["encoder"], scheme=1)))
+    out = tmp_path / "flat"
+    capsys.readouterr()
+    code = entry(["run", "--config", flat, "--diagnostics",
+                  "--manifest", workspace["manifest"], "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "encoder.scheme" in err
+    assert not (out / "diagnostics").exists()
 
 
 def test_diagnostics_rows_match_a_per_axis_recomputation(workspace):
@@ -427,6 +442,7 @@ def test_cli_exit_codes(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("section, key, value", [
     ("decode", "bandwidth", -1.0),
     ("recovery", "max_iterations", 0),
+    ("recovery", "solver", "lp"),
     ("predictor", "sigma_rel", -0.5),
     ("decode", "bandwidth", float("nan")),
     ("decode", "bandwidth", float("inf")),
@@ -440,6 +456,8 @@ def test_cli_bad_stage_value_is_a_config_error(workspace, tmp_path, capsys, sect
                   "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+    if isinstance(value, str):
+        assert repr(value) in err
     assert not out.exists()  # rejected before any image was decoded
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdetect import decoder
+from csdetect import recovery
 from csdetect.core import AnnotationSet, DetectionResult, ImageGrid
 from csdetect.decoder import (
     DecodeParams,
@@ -420,8 +420,6 @@ def test_decode_scheme2_diagnostics_and_validation():
         assert type(record["iterations"]) is int
         assert type(record["converged"]) is bool
 
-    with pytest.raises(ValueError, match="solver"):
-        decode_scheme2(y, layout, phi, solver="lp")
     wrong = encode_scheme2(ann, build_axis_layout(grid, 5), make_sensing_matrix(12, layout.bin_count, seed=3))
     with pytest.raises(ValueError):
         decode_scheme2(wrong, layout, phi)
@@ -460,12 +458,12 @@ def test_decode_scheme2_omp_axes_match_one_axis_solves():
     grid = ImageGrid(130, 130)
     layout = build_axis_layout(grid, 27)
     phi = make_sensing_matrix(112, layout.bin_count, seed=4)
-    recovery = RecoveryParams(max_sparsity=10, noise_budget_frac=0.1)
+    recovery = RecoveryParams(solver="omp", max_sparsity=10, noise_budget_frac=0.1)
     rng = np.random.default_rng(8)
     ann = _random_cells(grid, 9, min_sep=24.0, rng=rng, pad=8.0)
     y_hat = oracle_predict(encode_scheme2(ann, layout, phi), sigma_rel=0.05, seed=8)
     diag = {}
-    decode_scheme2(y_hat, layout, phi, recovery=recovery, solver="omp", diagnostics=diag)
+    decode_scheme2(y_hat, layout, phi, recovery=recovery, diagnostics=diag)
     assert [record["axis"] for record in diag["axes"]] == list(range(1, 28))
     for block, record in zip(y_hat, diag["axes"], strict=True):
         (row,), iterations, converged = omp_recover_rows(block[None], phi, recovery)
@@ -490,10 +488,10 @@ def test_decode_scheme2_rejects_non_finite_before_any_solve(monkeypatch, solver)
     def no_solve(*args, **kwargs):
         raise AssertionError("a solver ran on a non-finite prediction")
 
-    monkeypatch.setattr(decoder, "bp_recover_rows", no_solve)
-    monkeypatch.setattr(decoder, "omp_recover_rows", no_solve)
+    monkeypatch.setattr(recovery, "bp_recover_rows", no_solve)
+    monkeypatch.setattr(recovery, "omp_recover_rows", no_solve)
     with pytest.raises(ValueError, match="^non-finite prediction on axes 3,6$"):
-        decode_scheme2(y_hat, layout, phi, solver=solver)
+        decode_scheme2(y_hat, layout, phi, recovery=RecoveryParams(solver=solver))
 
 
 @pytest.mark.parametrize("solver", ["bp", "omp"])
@@ -508,9 +506,9 @@ def test_decode_scheme2_rejects_non_finite_solver_output(monkeypatch, solver):
         x[2, 5] = np.nan
         return x, np.ones(len(ys), dtype=np.int64), np.ones(len(ys), dtype=bool)
 
-    monkeypatch.setattr(decoder, f"{solver}_recover_rows", nan_solve)
+    monkeypatch.setattr(recovery, f"{solver}_recover_rows", nan_solve)
     with pytest.raises(ValueError, match="candidate coordinates must be finite"):
-        decode_scheme2(y_hat, layout, phi, solver=solver)
+        decode_scheme2(y_hat, layout, phi, recovery=RecoveryParams(solver=solver))
 
 
 def test_merge_ensemble_below_count_is_discarded():

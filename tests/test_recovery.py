@@ -26,13 +26,15 @@ def _spike_signal(n, k, rng, values=None):
 
 
 def test_params_validation():
-    RecoveryParams(max_sparsity=5, noise_budget=0.1, noise_budget_frac=0.05)
+    RecoveryParams(solver="omp", max_sparsity=5, noise_budget_frac=0.05)
+    with pytest.raises(ValueError, match="solver must be bp or omp, got 'lp'"):
+        RecoveryParams(solver="lp")
     with pytest.raises(ValueError):
         RecoveryParams(residual_tol=0.0)
     with pytest.raises(ValueError):
         RecoveryParams(max_iterations=0)
     with pytest.raises(ValueError):
-        RecoveryParams(noise_budget=-1.0)
+        RecoveryParams(noise_budget_frac=-1.0)
     with pytest.raises(ValueError):
         RecoveryParams(shrinkage_step=1.5)
     with pytest.raises(ValueError):
@@ -313,7 +315,7 @@ def test_lasso_huge_lambda_yields_zero():
 def test_bp_matches_omp_on_single_column():
     phi = make_sensing_matrix(30, 100, seed=1)
     y = phi.entries[:, 17]
-    bp = bp_recover(y, phi)
+    bp = bp_recover(y, phi, RecoveryParams(noise_budget_frac=0.0))
     omp = omp_recover(y, phi)
     assert np.allclose(bp, omp, atol=1e-6)
 
@@ -332,7 +334,7 @@ def test_bp_noisy_recovery_at_design_point():
     noise *= 0.01 * np.linalg.norm(y_clean) / np.linalg.norm(noise)
     y = y_clean + noise
     f_hat = bp_recover(
-        y, phi, RecoveryParams(noise_budget=float(np.linalg.norm(noise)))
+        y, phi, RecoveryParams(noise_budget_frac=float(np.linalg.norm(noise) / np.linalg.norm(y)))
     )
     assert set(np.flatnonzero(f_hat)) >= set(support)
     rel = np.linalg.norm(f_hat - x) / np.linalg.norm(x)
@@ -403,7 +405,7 @@ def _mixed_stack(phi, rng):
     [
         RecoveryParams(noise_budget_frac=0.05),
         RecoveryParams(noise_budget_frac=0.05, max_iterations=60),
-        RecoveryParams(),
+        RecoveryParams(noise_budget_frac=0.0),
     ],
     ids=["frac0.05", "frac0.05-cap60", "frac0"],
 )
