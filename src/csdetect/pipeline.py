@@ -310,8 +310,15 @@ def run_detection(
 
     Returns (results, failures) where results is a list of per-image dicts
     (id, detections, report, diagnostics rows) in input order and failures
-    counts images whose pipeline raised.
+    counts images whose pipeline raised. collect_diagnostics records the
+    axis route's per-axis solves, so it raises ValueError on a scheme-1
+    codec.
     """
+    if collect_diagnostics and codec.scheme != 2:
+        raise ValueError(
+            f"collect_diagnostics records the axis route's per-axis solves and needs "
+            f"encoder.scheme 2, got encoder.scheme {codec.scheme}"
+        )
     offset = config.patches.offsets[offset_index] if offset is None else offset
     rho = config.evaluation.rho
 

@@ -18,7 +18,10 @@ decoding routes call.
   solved by monotone accelerated shrinkage-thresholding with lambda
   continuation and a final least-squares debias on the detected support.
   eps = 0 asks for the equality-constrained program and is handled with a
-  tiny internal floor.
+  tiny internal floor. A row stops once a refit is inside its budget, or
+  once its support is wider than M after it already holds a refit (no
+  further refit is possible), as continuation solvers stop early (Hale,
+  Yin & Zhang 2008, fixed-point continuation).
 
 Both treat residual tolerances relative to ||y|| so recovery commutes with
 positive rescaling of the measurements.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensing import SensingMatrix
+from .sensing import SensingMatrix, operator_norm_sq
 
 __all__ = [
     "RecoveryParams",
@@ -217,21 +220,6 @@ def omp_recover_rows(
     return x, iterations, converged
 
 
-def operator_norm_sq(a: np.ndarray, iterations: int = 16) -> float:
-    """Power-iteration estimate of ||A||^2, padded 10% high so that a step
-    of 1/estimate is a valid shrinkage step."""
-    n = a.shape[1]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    est = 1.0
-    for _ in range(iterations):
-        w = a.T @ (a @ v)
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            return 1.0
-        v = w / est
-    return 1.1 * est
-
-
 def _soft(v: np.ndarray, t) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
@@ -334,15 +322,19 @@ def bp_recover_rows(
     are zeroed before returning.
 
     The rows are independent problems solved together: they share the step
-    and the phase schedule, every other quantity (lam, eps, best refit,
-    convergence) is per row, and a row leaves the stack once its refit is
-    inside its budget.
+    (from the matrix's cached ||Phi||^2 estimate) and the phase schedule,
+    every other quantity (lam, eps, best refit, convergence) is per row. A
+    row leaves the stack once its refit is inside its budget (converged),
+    or, unconverged, once its cleaned support is wider than M while it
+    already holds a refit: from then on no refit is possible, so further
+    phases cannot change its output unless the support narrows again.
 
     Returns (x, iterations, converged): row i of x (rows, N) solves row i
-    of ys, and per row the shrinkage iterations it ran (int64) and whether
-    a refit got inside the noise budget (bool). A row that never did is its
-    best refit, or its last shrinkage iterate when no refit was possible.
-    An all-zero row is solved by zeros, converged after 0 iterations.
+    of ys, and per row the shrinkage iterations it ran before it left
+    (int64) and whether a refit got inside the noise budget (bool). A row
+    that never did is its best refit, or its last shrinkage iterate when no
+    refit was possible; such a row runs to max_iterations. An all-zero row
+    is solved by zeros, converged after 0 iterations.
     """
     params = params or RecoveryParams()
     a = phi.entries
@@ -358,8 +350,6 @@ def bp_recover_rows(
     lam = np.array([0.25 * float(np.max(np.abs(a.T @ y))) for y in ys])
     lam_floor = np.where(lam > 0, 1e-12 * lam, 1.0)
     active = np.flatnonzero(~converged)
-    op_norm_sq = operator_norm_sq(a) if active.size else None
-
     y_act, lam_act = ys[active], lam[active]
     x = np.zeros((active.size, n))
     best = np.zeros((rows, n))  # each row's refit with the smallest residual
@@ -367,12 +357,13 @@ def bp_recover_rows(
     budget = params.max_iterations
     while budget > 0 and active.size:
         this_phase = min(_PHASE_ITERATIONS, budget)
-        x = lasso_shrinkage(y_act, a, lam_act, params.shrinkage_step / op_norm_sq, this_phase, x0=x)
+        x = lasso_shrinkage(y_act, a, lam_act, params.shrinkage_step / phi.norm_sq, this_phase, x0=x)
         budget -= this_phase
         iterations[active] += this_phase
         mag = np.abs(x)
         peak = mag.max(axis=1)
         cleaned = np.where(mag >= _HARD_FLOOR * peak[:, None], x, 0.0)
+        wide = np.count_nonzero(cleaned, axis=1) > m
         done = np.zeros(active.size, dtype=bool)
         for k in np.flatnonzero(peak > 0.0):
             refit = _debias(y_act[k], a, cleaned[k])
@@ -383,9 +374,12 @@ def bp_recover_rows(
                 best[r], best_residual[r] = refit
             done[k] = refit[1] <= eps[r]
         lam_act = np.maximum(lam_act * _LAMBDA_SHRINK, lam_floor[active])
-        if done.any():
-            converged[active[done]] = True
-            keep = ~done
+        converged[active[done]] = True
+        # a row too wide to refit that holds a refit already returns it,
+        # whatever further phases do, unless its support narrows again
+        leave = done | (wide & np.isfinite(best_residual[active]))
+        if leave.any():
+            keep = ~leave
             active, x, y_act, lam_act = active[keep], x[keep], y_act[keep], lam_act[keep]
 
     x_out[active] = x  # shrinkage iterates of the rows left unconverged

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +18,7 @@ __all__ = [
     "SensingMatrix",
     "RipReport",
     "make_sensing_matrix",
+    "operator_norm_sq",
     "minimum_rows",
     "project",
     "empirical_rip_check",
@@ -50,6 +52,11 @@ class SensingMatrix:
     def cols(self) -> int:
         return int(self.entries.shape[1])
 
+    @cached_property
+    def norm_sq(self) -> float:
+        """operator_norm_sq of the entries, estimated once per matrix."""
+        return operator_norm_sq(self.entries)
+
     def __eq__(self, other):
         if not isinstance(other, SensingMatrix):
             return NotImplemented
@@ -82,6 +89,21 @@ def make_sensing_matrix(rows: int, cols: int, seed: int) -> SensingMatrix:
     rng = np.random.default_rng(seed)
     entries = rng.normal(0.0, 1.0 / math.sqrt(rows), size=(rows, cols))
     return SensingMatrix(entries=entries, seed=seed)
+
+
+def operator_norm_sq(a: np.ndarray, iterations: int = 16) -> float:
+    """Power-iteration estimate of ||A||^2, padded 10% high so that a step
+    of 1/estimate is a valid shrinkage step."""
+    n = a.shape[1]
+    v = np.full(n, 1.0 / math.sqrt(n))
+    est = 1.0
+    for _ in range(iterations):
+        w = a.T @ (a @ v)
+        est = float(np.linalg.norm(w))
+        if est == 0.0:
+            return 1.0
+        v = w / est
+    return 1.1 * est
 
 
 def minimum_rows(

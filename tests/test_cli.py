@@ -366,6 +366,20 @@ def test_diagnostics_rows_match_a_per_axis_recomputation(workspace):
         assert result["diagnostics"] == expected
 
 
+def test_run_detection_rejects_diagnostics_on_scheme1(workspace, tmp_path, monkeypatch):
+    # the library refuses up front, as the CLI does, instead of returning
+    # an empty list per image
+    flat = _write_config(tmp_path / "flat.yaml", dict(SMALL, encoder=dict(SMALL["encoder"], scheme=1)))
+    config = load_config(flat)
+    codec = make_codec(config)
+    images = load_split(workspace["manifest"], "test")
+    decoded = []
+    monkeypatch.setattr("csdetect.pipeline._detect_image", lambda *args: decoded.append(args))
+    with pytest.raises(ValueError, match="encoder.scheme 2, got encoder.scheme 1"):
+        run_detection(config, codec, images, collect_diagnostics=True)
+    assert decoded == []
+
+
 def test_cli_ensemble(workspace, tmp_path, capsys):
     out = tmp_path / "ens"
     code = entry(["ensemble", "--config", workspace["config"], "--offsets", "0,16",
