@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DetectedPoint, DetectionResult, ImageGrid
-from .encoder import AxisLayout, ObservationAxis, axis_geometry
+from .encoder import AxisLayout
 from .recovery import RecoveryParams, recover_rows
 # unused here; perfbench/tracing.py wraps these names on this module
 from .recovery import bp_recover, omp_recover, operator_norm_sq  # noqa: F401
@@ -114,7 +114,7 @@ def decode_scheme1(f_hat: np.ndarray, grid: ImageGrid, threshold: float) -> Dete
 
 def _votes(geometry: np.ndarray, r: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Rows x, y, |d| of the votes origin + r*dir + d*normal of (bin r, distance d)
-    entries; geometry holds each entry's axis_geometry row, or one row for all."""
+    entries; geometry holds each entry's layout.geometry row, or one row for all."""
     votes = np.empty((r.size, 3))
     votes[:, :2] = geometry[:, :2] + r[:, None] * geometry[:, 2:4] + d[:, None] * geometry[:, 4:]
     np.abs(d, out=votes[:, 2])
@@ -123,19 +123,21 @@ def _votes(geometry: np.ndarray, r: np.ndarray, d: np.ndarray) -> np.ndarray:
     return votes
 
 
-def backproject_axis(f_hat_l: np.ndarray, axis: ObservationAxis) -> np.ndarray:
-    """Each nonzero entry, distance d at bin r, votes for
-    origin + r*dir + d*normal.
+def backproject_axis(f_hat_l: np.ndarray, layout: AxisLayout, i: int) -> np.ndarray:
+    """Each nonzero entry of axis i's signal, distance d at bin r, votes
+    for origin + r*dir + d*normal.
 
     Returns one row per vote, in bin order: x, y and the vote's magnitude |d|.
     """
     f_hat_l = np.asarray(f_hat_l, dtype=np.float64)
-    if f_hat_l.shape != (axis.bin_count,):
+    if f_hat_l.shape != (layout.bin_count,):
         raise ValueError(
-            f"signal shape {f_hat_l.shape} does not match bin count {axis.bin_count}"
+            f"signal shape {f_hat_l.shape} does not match bin count {layout.bin_count}"
         )
+    if not 0 <= i < layout.count:
+        raise ValueError(f"axis position {i} outside a layout of {layout.count} axes")
     (bins,) = np.nonzero(f_hat_l)
-    return _votes(axis_geometry((axis,)), bins + 1, f_hat_l[bins])
+    return _votes(layout.geometry[i : i + 1], bins + 1, f_hat_l[bins])
 
 
 def filter_noise_candidates(candidates: np.ndarray, grid: ImageGrid, noise_margin: float) -> np.ndarray:
@@ -214,7 +216,7 @@ def decode_scheme2(
     diagnostics: dict | None = None,
 ) -> DetectionResult:
     """Full axis-route decode of an (L, M) measurement array whose block i
-    encodes layout.axes[i].
+    encodes axis i of the layout.
 
     Recover every axis's sparse signal (recover_rows solves the L blocks
     together in one batched run of recovery.solver) and back-project them
@@ -231,23 +233,23 @@ def decode_scheme2(
         raise ValueError(
             f"measurement shape {blocks.shape} does not match {layout.count} axes x {phi.rows} matrix rows"
         )
-    if any(axis.bin_count != phi.cols for axis in layout.axes):
+    if layout.bin_count != phi.cols:
         raise ValueError("matrix columns do not match the layout's bins")
     finite = np.isfinite(blocks).all(axis=1)
     if not finite.all():
-        bad = [str(axis.index) for axis, ok in zip(layout.axes, finite) if not ok]
-        raise ValueError(f"non-finite prediction on axes {','.join(bad)}")
+        bad = np.flatnonzero(~finite) + 1
+        raise ValueError(f"non-finite prediction on axes {','.join(map(str, bad.tolist()))}")
 
     x, iterations, converged = recover_rows(blocks, phi, recovery)
 
     rows, bins = np.nonzero(x)  # row-major: axis order, then bin order within an axis
-    candidates = _votes(axis_geometry(layout.axes)[rows], bins + 1, x[rows, bins])
-    stalled = [axis.index for axis, done in zip(layout.axes, converged) if not done]
-    if stalled:
+    candidates = _votes(layout.geometry[rows], bins + 1, x[rows, bins])
+    stalled = np.flatnonzero(~converged) + 1
+    if stalled.size:
         log.warning(
             "%d of %d axes stopped above the recovery tolerance (axes %s); "
             "decoding with their best iterates",
-            len(stalled), layout.count, ",".join(map(str, stalled)),
+            stalled.size, layout.count, ",".join(map(str, stalled.tolist())),
         )
     kept = filter_noise_candidates(candidates, layout.grid, params.noise_margin)
     clusters = meanshift_cluster(kept, params.bandwidth)
@@ -258,9 +260,9 @@ def decode_scheme2(
     )
     if diagnostics is not None:
         diagnostics["axes"] = [
-            {"axis": axis.index, "signal": x[i],
+            {"axis": i + 1, "signal": x[i],
              "candidates": candidates[rows == i], "iterations": its, "converged": done}
-            for i, (axis, its, done) in enumerate(zip(layout.axes, iterations.tolist(), converged.tolist()))
+            for i, (its, done) in enumerate(zip(iterations.tolist(), converged.tolist()))
         ]
     return DetectionResult(points=points)
 

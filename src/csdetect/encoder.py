@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,18 +29,14 @@ from .core import AnnotationSet, ImageGrid, round_half_up
 from .sensing import SensingMatrix, project
 
 __all__ = [
-    "ObservationAxis",
     "AxisLayout",
     "default_margin",
     "flatten_annotations",
     "encode_scheme1",
     "build_axis_layout",
-    "axis_geometry",
-    "axis_signal",
+    "axis_signals",
     "encode_scheme2",
 ]
-
-_UNIT_TOL = 1e-12
 
 
 def default_margin(grid: ImageGrid) -> float:
@@ -81,75 +78,8 @@ def encode_scheme1(annotations: AnnotationSet, phi: SensingMatrix) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class ObservationAxis:
-    """A directed line outside the image.
-
-    Points project to `bin = round((p - origin) . direction)` along the
-    line and to `distance = (p - origin) . normal` across it; `normal` is
-    `direction` rotated +90 degrees.
-    """
-
-    index: int
-    origin: tuple
-    direction: tuple
-    normal: tuple
-    bin_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
-        object.__setattr__(
-            self, "direction", (float(self.direction[0]), float(self.direction[1]))
-        )
-        object.__setattr__(self, "normal", (float(self.normal[0]), float(self.normal[1])))
-        if self.index < 1:
-            raise ValueError("axis index is 1-based")
-        if self.bin_count < 1:
-            raise ValueError("bin_count must be >= 1")
-        dx, dy = self.direction
-        nx, ny = self.normal
-        if abs(math.hypot(dx, dy) - 1.0) > _UNIT_TOL:
-            raise ValueError("direction must be a unit vector")
-        if abs(dx * nx + dy * ny) > _UNIT_TOL:
-            raise ValueError("normal must be orthogonal to direction")
-        if abs(nx + dy) > _UNIT_TOL or abs(ny - dx) > _UNIT_TOL:
-            raise ValueError("normal must be direction rotated +90 degrees")
-
-
-@dataclass(frozen=True)
 class AxisLayout:
-    """L observation axes around one grid."""
-
-    axes: tuple
-    grid: ImageGrid
-    margin: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(self.axes))
-        if not self.axes:
-            raise ValueError("layout needs at least one axis")
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
-        # every axis line must clear the pixel-extent rectangle of the grid
-        cx, cy = self.grid.center
-        half_w = 0.5 * self.grid.width
-        half_h = 0.5 * self.grid.height
-        for axis in self.axes:
-            nx, ny = axis.normal
-            line_dist = abs((cx - axis.origin[0]) * nx + (cy - axis.origin[1]) * ny)
-            if line_dist <= half_w * abs(nx) + half_h * abs(ny):
-                raise ValueError(f"axis {axis.index} intersects the image rectangle")
-
-    @property
-    def count(self) -> int:
-        return len(self.axes)
-
-    @property
-    def bin_count(self) -> int:
-        return self.axes[0].bin_count
-
-
-def build_axis_layout(grid: ImageGrid, count: int, margin: float | None = None) -> AxisLayout:
-    """Uniformly oriented axes at angles (l-1)*pi/L, l = 1..L.
+    """L observation axes around one grid, at angles (l-1)*pi/L, l = 1..L.
 
     Each axis runs tangent to the circle of radius half-diagonal + margin
     centered on the grid, on the side that makes its normal point back at
@@ -157,65 +87,77 @@ def build_axis_layout(grid: ImageGrid, count: int, margin: float | None = None) 
     `margin`. Bins are centered on the tangent point; bin_count is the
     ceiling of the diagonal so every in-image point lands in a valid bin.
     """
-    if count < 1:
-        raise ValueError("need at least one axis")
-    if margin is None:
-        margin = default_margin(grid)
-    if margin <= 0:
-        raise ValueError("margin must be > 0")
-    bins = int(math.ceil(grid.diagonal))
-    cx, cy = grid.center
-    radius = 0.5 * grid.diagonal + margin
-    mid = 0.5 * (bins + 1)
-    axes = []
-    for l in range(1, count + 1):
-        theta = (l - 1) * math.pi / count
-        dx, dy = math.cos(theta), math.sin(theta)
-        nx, ny = -dy, dx
-        tangent = (cx - radius * nx, cy - radius * ny)
-        origin = (tangent[0] - mid * dx, tangent[1] - mid * dy)
-        axes.append(
-            ObservationAxis(
-                index=l, origin=origin, direction=(dx, dy), normal=(nx, ny), bin_count=bins
-            )
-        )
-    return AxisLayout(axes=tuple(axes), grid=grid, margin=margin)
+
+    grid: ImageGrid
+    count: int
+    margin: float
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("layout needs at least one axis")
+        if not self.margin > 0:
+            raise ValueError("margin must be > 0")
+
+    @property
+    def bin_count(self) -> int:
+        return int(math.ceil(self.grid.diagonal))
+
+    @cached_property
+    def geometry(self) -> np.ndarray:
+        """One read-only row ox, oy, dx, dy, nx, ny (origin, direction,
+        normal) per axis: a point projects to bin round((p - origin) . dir)
+        and to signed distance (p - origin) . normal, with the normal the
+        direction rotated +90 degrees."""
+        cx, cy = self.grid.center
+        radius = 0.5 * self.grid.diagonal + self.margin
+        mid = 0.5 * (self.bin_count + 1)
+        rows = []
+        for l in range(1, self.count + 1):
+            theta = (l - 1) * math.pi / self.count
+            dx, dy = math.cos(theta), math.sin(theta)
+            nx, ny = -dy, dx
+            tangent = (cx - radius * nx, cy - radius * ny)
+            rows.append((tangent[0] - mid * dx, tangent[1] - mid * dy, dx, dy, nx, ny))
+        geometry = np.array(rows)
+        geometry.flags.writeable = False
+        return geometry
 
 
-def axis_geometry(axes) -> np.ndarray:
-    """One row ox, oy, dx, dy, nx, ny (origin, direction, normal) per axis."""
-    return np.array([ax.origin + ax.direction + ax.normal for ax in axes])
+def build_axis_layout(grid: ImageGrid, count: int, margin: float | None = None) -> AxisLayout:
+    """The layout of `count` axes around `grid`; margin None means
+    default_margin(grid)."""
+    return AxisLayout(grid=grid, count=count, margin=default_margin(grid) if margin is None else margin)
 
 
-def _project_cells(cells: np.ndarray, axes) -> tuple:
-    """(bins, signed distances) of k points on n axes, both shaped (k, n).
+def _project_cells(cells: np.ndarray, geometry: np.ndarray, bin_count: int) -> tuple:
+    """(bins, signed distances) of k points on the n lines of an (n, 6)
+    geometry array, both shaped (k, n).
 
     The bin is the rounded along-axis coordinate floor(t + 0.5) clamped to
     [1, bin_count]; the distance is exact. Reconstructing
     origin + t*direction + d*normal from the unrounded t returns the point,
     so rounding is the only loss.
     """
-    geometry = axis_geometry(axes)
     px = cells[:, 0:1] - geometry[:, 0]
     py = cells[:, 1:2] - geometry[:, 1]
     t = px * geometry[:, 2] + py * geometry[:, 3]
     d = px * geometry[:, 4] + py * geometry[:, 5]
     if not np.isfinite(t).all():
         raise ValueError("cell coordinates must be finite")
-    bin_counts = np.array([ax.bin_count for ax in axes])
-    r = np.clip(np.floor(t + 0.5), 1, bin_counts).astype(np.int64)
+    r = np.clip(np.floor(t + 0.5), 1, bin_count).astype(np.int64)
     return r, d
 
 
-def _axis_signals(annotations: AnnotationSet, axes, bins: int) -> np.ndarray:
-    """Every axis's location signal as a row of a dense (axes, bins) array:
-    each cell's signed distance at its bin, bin conflicts resolved.
+def _axis_signals(annotations: AnnotationSet, geometry: np.ndarray, bins: int) -> np.ndarray:
+    """The location signal of every line of an (n, 6) geometry array as a
+    row of a dense (n, bins) array: each cell's signed distance at its bin,
+    bin conflicts resolved.
 
-    Within one (axis, bin) group the cell with the smallest (|d|, x, y)
-    wins; the others are still seen by other axes.
+    Within one (line, bin) group the cell with the smallest (|d|, x, y)
+    wins; the others are still seen by other lines.
     """
     cells = annotations.coords()
-    r, d = _project_cells(cells, axes)
+    r, d = _project_cells(cells, geometry, bins)
     k, n = r.shape
     pos = np.tile(np.arange(n), k)
     r, d = r.ravel(), d.ravel()
@@ -231,30 +173,27 @@ def _axis_signals(annotations: AnnotationSet, axes, bins: int) -> np.ndarray:
     return signals
 
 
-def axis_signal(annotations: AnnotationSet, axis: ObservationAxis) -> np.ndarray:
-    """Per-axis location signal of length bin_count: signed distances at
-    the projected bins.
+def axis_signals(annotations: AnnotationSet, layout: AxisLayout) -> np.ndarray:
+    """Every axis's location signal, row i of a dense (count, bin_count)
+    array for axis i: signed distances at the projected bins.
 
-    When two cells land in the same bin the one with the smaller absolute
-    distance wins (ties: smaller x, then smaller y); the loser will still
-    be seen by other axes.
+    When two cells land in the same bin of an axis the one with the smaller
+    absolute distance wins (ties: smaller x, then smaller y); the loser is
+    still seen by the other axes.
     """
-    return _axis_signals(annotations, (axis,), axis.bin_count)[0]
+    return _axis_signals(annotations, layout.geometry, layout.bin_count)
 
 
 def encode_scheme2(annotations: AnnotationSet, layout: AxisLayout, phi: SensingMatrix) -> np.ndarray:
     """Project every axis signal: block i of the (L, M) result encodes
-    layout.axes[i].
+    axis i of the layout.
 
-    All axis signals are built together as the rows of one dense array;
-    each row is projected on its own, because one matrix product for all
-    rows would sum in another order and change the last bits.
+    Each row of axis_signals is projected on its own, because one matrix
+    product for all rows would sum in another order and change the last
+    bits.
     """
-    for ax in layout.axes:
-        if ax.bin_count != phi.cols:
-            raise ValueError(
-                f"axis {ax.index} has {ax.bin_count} bins, matrix expects "
-                f"signals of length {phi.cols}"
-            )
-    signals = _axis_signals(annotations, layout.axes, phi.cols)
-    return np.stack([project(phi, row) for row in signals])
+    if layout.bin_count != phi.cols:
+        raise ValueError(
+            f"layout has {layout.bin_count} bins, matrix expects signals of length {phi.cols}"
+        )
+    return np.stack([project(phi, row) for row in axis_signals(annotations, layout)])

@@ -184,7 +184,8 @@ def generate_dataset(config: PipelineConfig, out_dir) -> dict:
 
 
 def load_split(manifest_path, split: str) -> list:
-    """[(image id, pixels, AnnotationSet)] for one manifest split."""
+    """[(image id, pixels, AnnotationSet)] for one manifest split; every
+    image must have the manifest's grid size."""
     manifest_path = Path(manifest_path)
     manifest = read_manifest(manifest_path)
     base = manifest_path.parent
@@ -194,6 +195,11 @@ def load_split(manifest_path, split: str) -> list:
     for entry in manifest["images"]:
         if entry["id"] in wanted or (not wanted and entry.get("split") == split):
             image = load_pgm(base / entry["image"])
+            if image.shape != (grid.height, grid.width):
+                raise ValueError(
+                    f"{base / entry['image']}: image is {image.shape[1]}x{image.shape[0]}, "
+                    f"manifest grid is {grid.width}x{grid.height}"
+                )
             annotations = load_annotations_csv(base / entry["annotations"], grid)
             out.append((entry["id"], image, annotations))
     return out
@@ -303,10 +309,9 @@ def run_detection(
     images,
     model: RegressorModel | None = None,
     offset_index: int = 0,
-    offset: int | None = None,
     collect_diagnostics: bool = False,
 ):
-    """Detect on every image at one tiling offset.
+    """Detect on every image at the tiling offset config.patches.offsets[offset_index].
 
     Returns (results, failures) where results is a list of per-image dicts
     (id, detections, report, diagnostics rows) in input order and failures
@@ -319,7 +324,7 @@ def run_detection(
             f"collect_diagnostics records the axis route's per-axis solves and needs "
             f"encoder.scheme 2, got encoder.scheme {codec.scheme}"
         )
-    offset = config.patches.offsets[offset_index] if offset is None else offset
+    offset = config.patches.offsets[offset_index]
     rho = config.evaluation.rho
 
     def work(item):
@@ -399,10 +404,8 @@ def ensemble_detection(
     _warn_idle_offsets(config, images)
     per_offset = []
     failures = 0
-    for offset_index, offset in enumerate(config.patches.offsets):
-        results, offset_failures = run_detection(
-            config, codec, images, model, offset_index=offset_index, offset=offset
-        )
+    for offset_index in range(len(config.patches.offsets)):
+        results, offset_failures = run_detection(config, codec, images, model, offset_index=offset_index)
         failures += offset_failures
         per_offset.append(results)
 

@@ -228,7 +228,8 @@ def train_regressor(
     """Mini-batch gradient descent on squared error.
 
     Returns (model, per-epoch mean losses). Deterministic for a fixed seed:
-    initialization and epoch shuffles come from one generator.
+    initialization and epoch shuffles come from one generator. Raises
+    ValueError at the end of the first epoch whose mean loss is not finite.
     """
     if not examples:
         raise ValueError("need at least one training example")
@@ -252,7 +253,7 @@ def train_regressor(
 
     losses = []
     count = len(examples)
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(count)
         epoch_loss = 0.0
         for start in range(0, count, batch_size):
@@ -265,6 +266,11 @@ def train_regressor(
             w2 -= learning_rate * gw2
             b2 -= learning_rate * gb2
             epoch_loss += loss * len(batch)
+        if not np.isfinite(epoch_loss):
+            raise ValueError(
+                f"training diverged: epoch {epoch} of {epochs} has a non-finite loss "
+                f"at learning_rate {learning_rate}"
+            )
         losses.append(epoch_loss / count)
 
     model = RegressorModel(

@@ -62,7 +62,8 @@ class RecoveryParams:
 
     solver: "bp" (basis pursuit) or "omp" (orthogonal matching pursuit).
     max_sparsity: active-set cap for OMP; None means ceil(M / (4 ln N)).
-    residual_tol: stopping residual, relative to ||y||.
+    residual_tol: OMP's stopping residual, relative to ||y||; basis pursuit
+        does not read it and stops on noise_budget_frac instead.
     noise_budget_frac: basis pursuit's eps relative to the measurements,
         eps = frac * ||y||, so it needs no ||y|| up front.
     max_iterations: BP shrinkage iterations, and a second cap on OMP atoms.

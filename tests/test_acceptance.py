@@ -17,7 +17,7 @@ from csdetect.cli import entry
 from csdetect.core import AnnotationSet, DetectionResult, ImageGrid
 from csdetect.decoder import DecodeParams, decode_scheme2, merge_ensemble
 from csdetect.encoder import (
-    axis_signal,
+    axis_signals,
     build_axis_layout,
     encode_scheme1,
     encode_scheme2,
@@ -86,10 +86,9 @@ def noise_sweep(axis_channel):
                                  recovery=recovery, diagnostics=diag)
             reports.append(match_detections(det, ann, rho=6.0))
             err = 0.0
+            f_true = axis_signals(ann, layout)
             for record in diag["axes"]:
-                axis = layout.axes[record["axis"] - 1]
-                f_true = axis_signal(ann, axis)
-                err += float(np.sum((record["signal"] - f_true) ** 2))
+                err += float(np.sum((record["signal"] - f_true[record["axis"] - 1]) ** 2))
             errors.append(err)
         f1[sigma] = aggregate_reports(reports)[2]
         recon[sigma] = float(np.median(errors))

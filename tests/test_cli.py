@@ -13,7 +13,7 @@ from csdetect import recovery
 from csdetect.cli import entry
 from csdetect.config import ConfigError, default_config, load_config, save_config
 from csdetect.predictor import init_model, oracle_predict, save_model
-from csdetect.synthdata import extract_patches
+from csdetect.synthdata import extract_patches, save_pgm
 from csdetect.core import AnnotationSet, ImageGrid
 from csdetect.pipeline import (
     SALT_ORACLE,
@@ -350,14 +350,12 @@ def test_diagnostics_rows_match_a_per_axis_recomputation(workspace):
             diag = {}
             decode_signal(codec, y_hat, config, diagnostics=diag)
             px, py = patch.origin
-            for axis, record in zip(codec.layout.axes, diag["axes"]):
-                ox, oy = axis.origin
-                dx, dy = axis.direction
-                nx, ny = axis.normal
+            for i, record in enumerate(diag["axes"]):
+                ox, oy, dx, dy, nx, ny = codec.layout.geometry[i].tolist()
                 bins = np.flatnonzero(record["signal"])
                 for r, d in zip((bins + 1).tolist(), record["signal"][bins].tolist()):
                     expected.append({
-                        "offset": 0, "patch_x": px, "patch_y": py, "axis": axis.index,
+                        "offset": 0, "patch_x": px, "patch_y": py, "axis": i + 1,
                         "x": ox + r * dx + d * nx + px, "y": oy + r * dy + d * ny + py,
                         "magnitude": abs(d), "iterations": record["iterations"],
                         "converged": record["converged"],
@@ -499,6 +497,21 @@ def test_cli_rejects_bad_pgm_header(workspace, tmp_path, capsys, header):
     assert entry(["run", "--config", workspace["config"],
                   "--manifest", str(data / "manifest.yaml"), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {image}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("width, height", [(40, 36), (32, 20)], ids=["larger", "shorter"])
+def test_cli_rejects_pgm_off_the_manifest_grid(workspace, tmp_path, capsys, width, height):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    image = data / "images" / "test_001.pgm"
+    save_pgm(np.full((height, width), 0.5), image)
+    out = tmp_path / "out"
+    assert entry(["run", "--config", workspace["config"],
+                  "--manifest", str(data / "manifest.yaml"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {image}: image is {width}x{height}, manifest grid is 32x32\n")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

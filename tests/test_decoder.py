@@ -17,9 +17,7 @@ from csdetect.decoder import (
     merge_ensemble,
 )
 from csdetect.encoder import (
-    AxisLayout,
-    ObservationAxis,
-    axis_signal,
+    axis_signals,
     build_axis_layout,
     encode_scheme1,
     encode_scheme2,
@@ -29,9 +27,9 @@ from csdetect.predictor import oracle_predict
 from csdetect.recovery import RecoveryParams, bp_recover, bp_recover_rows, omp_recover, omp_recover_rows
 from csdetect.sensing import make_sensing_matrix, minimum_rows
 
-X_AXIS = ObservationAxis(
-    index=1, origin=(0.0, 0.0), direction=(1.0, 0.0), normal=(0.0, 1.0), bin_count=10
-)
+# one horizontal axis under a 3x4 grid (diagonal 5, so 5 bins) with origin
+# (-1, -0.5), direction (1, 0) and normal (-0.0, 1): every vote is exact
+ONE_AXIS = build_axis_layout(ImageGrid(3, 4), 1, margin=0.5)
 
 
 def _random_cells(grid, k, min_sep, rng, pad=1.0):
@@ -78,25 +76,26 @@ def test_decode_scheme1_rejects_length_mismatch():
 
 
 def test_backproject_axis_aligned_entry():
-    sig = np.zeros(10)
+    assert ONE_AXIS.geometry.tolist() == [[-1.0, -0.5, 1.0, 0.0, -0.0, 1.0]]
+    sig = np.zeros(5)
     sig[3 - 1] = 4.0
-    votes = backproject_axis(sig, X_AXIS)
+    votes = backproject_axis(sig, ONE_AXIS, 0)
     assert votes.shape == (1, 3)
-    assert (votes[0, 0], votes[0, 1]) == (3.0, 4.0)
+    assert (votes[0, 0], votes[0, 1]) == (2.0, 3.5)
     assert votes[0, 2] == 4.0  # magnitude |d|
 
 
 def test_backproject_zero_signal():
-    assert backproject_axis(np.zeros(10), X_AXIS).shape == (0, 3)
+    assert backproject_axis(np.zeros(5), ONE_AXIS, 0).shape == (0, 3)
 
 
 def test_backproject_round_trip_within_bin_rounding():
     grid = ImageGrid(24, 24)
     layout = build_axis_layout(grid, 8)
     cell = (13.37, 7.91)
-    ann = AnnotationSet(grid=grid, cells=(cell,))
-    for axis in layout.axes:
-        votes = backproject_axis(axis_signal(ann, axis), axis)
+    signals = axis_signals(AnnotationSet(grid=grid, cells=(cell,)), layout)
+    for i, sig in enumerate(signals):
+        votes = backproject_axis(sig, layout, i)
         assert len(votes) == 1
         err = np.hypot(votes[0, 0] - cell[0], votes[0, 1] - cell[1])
         assert err <= 0.5  # the bin index is the only rounded quantity
@@ -106,15 +105,12 @@ def test_backproject_matches_one_vote_at_a_time():
     grid = ImageGrid(60, 60)
     layout = build_axis_layout(grid, 7)
     rng = np.random.default_rng(11)
-    for axis in layout.axes:
-        indices = np.sort(rng.choice(axis.bin_count, size=9, replace=False)) + 1
+    for i, (ox, oy, dx, dy, nx, ny) in enumerate(layout.geometry.tolist()):
+        indices = np.sort(rng.choice(layout.bin_count, size=9, replace=False)) + 1
         values = rng.normal(0.0, 20.0, size=9)
-        sig = np.zeros(axis.bin_count)
+        sig = np.zeros(layout.bin_count)
         sig[indices - 1] = values
-        votes = backproject_axis(sig, axis)
-        ox, oy = axis.origin
-        dx, dy = axis.direction
-        nx, ny = axis.normal
+        votes = backproject_axis(sig, layout, i)
         expected = [
             [ox + int(r) * dx + float(d) * nx, oy + int(r) * dy + float(d) * ny, abs(float(d))]
             for r, d in zip(indices, values)
@@ -123,17 +119,18 @@ def test_backproject_matches_one_vote_at_a_time():
 
 
 def test_backproject_validation():
-    short = np.zeros(9)
+    short = np.zeros(4)
     short[3 - 1] = 4.0
     with pytest.raises(ValueError, match="bin count"):
-        backproject_axis(short, X_AXIS)
-    far = ObservationAxis(
-        index=1, origin=(1e308, 0.0), direction=(0.0, 1.0), normal=(-1.0, 0.0), bin_count=10
-    )
-    huge = np.zeros(10)
+        backproject_axis(short, ONE_AXIS, 0)
+    for i in (-1, 1):
+        with pytest.raises(ValueError, match="outside a layout of 1 axes"):
+            backproject_axis(np.zeros(5), ONE_AXIS, i)
+    far = build_axis_layout(ImageGrid(3, 4), 1, margin=1e308)  # origin y = 2.5 - (2.5 + 1e308)
+    huge = np.zeros(5)
     huge[2 - 1] = -1.7e308
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
-        backproject_axis(huge, far)
+        backproject_axis(huge, far, 0)
 
 
 def _votes(rows):
@@ -180,7 +177,7 @@ def test_filter_keeps_everything_on_clean_round_trip():
     rng = np.random.default_rng(1)
     ann = _random_cells(grid, 3, min_sep=5.0, rng=rng)
     candidates = np.concatenate(
-        [backproject_axis(axis_signal(ann, axis), axis) for axis in layout.axes]
+        [backproject_axis(sig, layout, i) for i, sig in enumerate(axis_signals(ann, layout))]
     )
     kept = filter_noise_candidates(candidates, grid, layout.margin)
     # bin conflicts can merge votes at encode time, but the noise filter
@@ -348,20 +345,6 @@ def test_decode_scheme2_zero_signal_is_empty():
     assert len(decode_scheme2(y, layout, phi)) == 0
 
 
-def test_decode_scheme2_reads_block_i_for_the_layouts_axis_i():
-    # block i of the code encodes layout.axes[i], whatever the axes' indices
-    grid = ImageGrid(64, 64)
-    forward = build_axis_layout(grid, 6)
-    backward = AxisLayout(axes=forward.axes[::-1], grid=grid, margin=forward.margin)
-    phi = make_sensing_matrix(40, forward.bin_count, seed=4)
-    ann = AnnotationSet(grid=grid, cells=((20.0, 24.0), (44.0, 40.0)))
-    want = decode_scheme2(encode_scheme2(ann, forward, phi), forward, phi)
-    got = decode_scheme2(encode_scheme2(ann, backward, phi), backward, phi)
-    assert len(want) == 2
-    assert len(got) == 2
-    np.testing.assert_allclose(sorted(got.coords().tolist()), sorted(want.coords().tolist()), atol=1e-9)
-
-
 def test_decode_scheme2_noiseless_operating_point():
     grid = ImageGrid(260, 260)
     layout = build_axis_layout(grid, 27)
@@ -428,7 +411,7 @@ def test_decode_scheme2_diagnostics_and_validation():
 def _assert_votes_are_one_axis_backprojection(record, layout):
     # the one-pass back-projection of all axes gives each axis the votes,
     # to the bit, that back-projecting its own signal alone gives
-    alone = backproject_axis(record["signal"], layout.axes[record["axis"] - 1])
+    alone = backproject_axis(record["signal"], layout, record["axis"] - 1)
     assert record["candidates"].shape == alone.shape
     assert record["candidates"].tobytes() == alone.tobytes()
 

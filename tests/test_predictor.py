@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from csdetect import predictor
 from csdetect.predictor import (
     RegressorModel,
     TrainingExample,
@@ -145,6 +146,35 @@ def test_training_validates_inputs():
     with pytest.raises(ValueError, match="label length"):
         train_regressor([ex], epochs=1, learning_rate=0.1, seed=0,
                         block_size=2, block_count=1, input_edge=8)
+
+
+def test_training_stops_at_the_first_non_finite_epoch(monkeypatch):
+    rng = np.random.default_rng(10)
+    examples = [
+        TrainingExample(patch=rng.uniform(size=(8, 8)), label=rng.normal(size=8))
+        for _ in range(3)
+    ]
+    batch_losses = []
+
+    def counted(*args):
+        loss, grads = loss_and_gradients(*args)
+        batch_losses.append(loss)
+        return loss, grads
+
+    monkeypatch.setattr(predictor, "loss_and_gradients", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as caught:
+            train_regressor(examples, epochs=50, learning_rate=1e6, seed=0, block_size=4,
+                            block_count=2, hidden=8, batch_size=2, input_edge=8)
+    # two batches per epoch; the epoch holding the first non-finite batch
+    # loss is the last one run
+    first_bad = next(i for i, loss in enumerate(batch_losses) if not np.isfinite(loss))
+    epoch = first_bad // 2 + 1
+    assert 1 < epoch < 50
+    assert len(batch_losses) == 2 * epoch
+    assert str(caught.value) == (
+        f"training diverged: epoch {epoch} of 50 has a non-finite loss at learning_rate 1000000.0"
+    )
 
 
 def test_predict_zero_weight_model_gives_zero_signal():
