@@ -46,17 +46,20 @@ def _parse_offset(token: str) -> int:
 
 
 def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
-    run = config.run
-    if args.seed is not None:
-        run = dataclasses.replace(run, seed=args.seed)
-    if getattr(args, "workers", None) is not None:
-        run = dataclasses.replace(run, workers=args.workers)
-    config = dataclasses.replace(config, run=run)
-    if getattr(args, "offsets", None) is not None:
-        offsets = tuple(_parse_offset(tok) for tok in args.offsets.split(",") if tok != "")
-        config = dataclasses.replace(
-            config, patches=dataclasses.replace(config.patches, offsets=offsets)
-        )
+    try:
+        run = config.run
+        if args.seed is not None:
+            run = dataclasses.replace(run, seed=args.seed)
+        if getattr(args, "workers", None) is not None:
+            run = dataclasses.replace(run, workers=args.workers)
+        config = dataclasses.replace(config, run=run)
+        if getattr(args, "offsets", None) is not None:
+            offsets = tuple(_parse_offset(tok) for tok in args.offsets.split(",") if tok != "")
+            config = dataclasses.replace(
+                config, patches=dataclasses.replace(config.patches, offsets=offsets)
+            )
+    except ValueError as exc:  # a section rejecting the overridden value
+        raise ConfigError(str(exc)) from exc
     return config.validate()
 
 
@@ -138,6 +141,12 @@ def _detect_split(args, ensemble: bool) -> int:
     if config.predictor.mode == "trained" and args.model is None:
         raise ConfigError("trained mode needs --model")
     model = load_model(args.model) if config.predictor.mode == "trained" else None
+    if model is not None and (model.block_count, model.block_size) != codec.code_shape:
+        blocks, m = codec.code_shape
+        raise ConfigError(
+            f"{args.model}: the model predicts {model.block_count} blocks of "
+            f"{model.block_size} measurements, the config's codec needs {blocks} blocks of {m}"
+        )
     images = load_split(args.manifest, "test")
     if not images:
         raise ConfigError(f"{args.manifest}: empty test split")

@@ -1,5 +1,9 @@
 """Pipeline configuration: one YAML block per stage, validated up front.
 
+Each section is the frozen dataclass its stage reads and checks its own
+fields when built (RecoveryParams, DecodeParams, PredictorParams and
+SynthesisParams live with their stages); validate() checks across sections.
+
 The shipped defaults are a known-good operating point for 260x260 patches:
 112 measurements per axis, 27 axes, count-channel weight 0.20.
 """
@@ -7,26 +11,26 @@ The shipped defaults are a known-good operating point for 260x260 patches:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import yaml
 
 from .core import ImageGrid
 from .decoder import DecodeParams
+from .predictor import PredictorParams
 from .recovery import RecoveryParams
+from .synthdata import SynthesisParams
 
 __all__ = [
     "ConfigError",
     "EncoderConfig",
-    "PredictorConfig",
-    "SynthConfig",
     "PatchConfig",
     "EvaluationConfig",
     "RunConfig",
     "PipelineConfig",
     "default_config",
     "load_config",
-    "save_config",
 ]
 
 
@@ -41,30 +45,13 @@ class EncoderConfig:
     measurements: int = 112
     margin: float | None = None  # None: 5% of the patch diagonal
 
-
-@dataclass(frozen=True)
-class PredictorConfig:
-    mode: str = "oracle"
-    sigma_rel: float = 0.05
-    mtl_lambda: float = 0.2
-    hidden: int = 64
-    epochs: int = 150
-    learning_rate: float = 0.05
-    batch_size: int = 32
-    input_edge: int = 32
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    train_images: int = 50
-    test_images: int = 50
-    image_width: int = 260
-    image_height: int = 260
-    cell_count: tuple = (5, 20)
-    blob_radius: tuple = (4.0, 8.0)
-    intensity: tuple = (0.6, 1.0)
-    background_noise_sigma: float = 0.02
-    min_separation: float = 24.0
+    def __post_init__(self):
+        if self.scheme not in (1, 2):
+            raise ValueError(f"scheme must be 1 or 2, got {self.scheme!r}")
+        if self.axes < 1 or self.measurements < 1:
+            raise ValueError("axes and measurements must be >= 1")
+        if self.margin is not None and self.margin <= 0:
+            raise ValueError("margin must be > 0 when given")
 
 
 @dataclass(frozen=True)
@@ -72,11 +59,25 @@ class PatchConfig:
     size: int = 260
     offsets: tuple = (0,)
 
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError("size must be >= 1")
+        if not isinstance(self.offsets, (list, tuple)) or not self.offsets:
+            raise ValueError(f"offsets must be a non-empty list, got {self.offsets!r}")
+        object.__setattr__(self, "offsets", tuple(self.offsets))
+        for off in self.offsets:
+            if not 0 <= off < self.size:
+                raise ValueError(f"offset {off} must lie in [0, patch size {self.size})")
+
 
 @dataclass(frozen=True)
 class EvaluationConfig:
     rho: float = 6.0
     macro: bool = False
+
+    def __post_init__(self):
+        if self.rho <= 0:
+            raise ValueError("rho must be > 0")
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,21 @@ class RunConfig:
     matrix_seed: int = 1234
     workers: int = 1
 
+    def __post_init__(self):
+        for name in ("seed", "matrix_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     recovery: RecoveryParams = field(default_factory=RecoveryParams)
     decode: DecodeParams = field(default_factory=DecodeParams)
-    predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    synth: SynthConfig = field(default_factory=SynthConfig)
+    predictor: PredictorParams = field(default_factory=PredictorParams)
+    synth: SynthesisParams = field(default_factory=SynthesisParams)
     patches: PatchConfig = field(default_factory=PatchConfig)
     evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
     run: RunConfig = field(default_factory=RunConfig)
@@ -101,23 +109,10 @@ class PipelineConfig:
         return ImageGrid(width=self.patches.size, height=self.patches.size)
 
     def validate(self) -> "PipelineConfig":
-        enc, patches, synth = self.encoder, self.patches, self.synth
-        if enc.scheme not in (1, 2):
-            raise ConfigError(f"encoder.scheme must be 1 or 2, got {enc.scheme}")
-        if enc.axes < 1 or enc.measurements < 1:
-            raise ConfigError("encoder.axes and encoder.measurements must be >= 1")
-        if enc.margin is not None and enc.margin <= 0:
-            raise ConfigError("encoder.margin must be > 0 when given")
-        if patches.size < 1:
-            raise ConfigError("patches.size must be >= 1")
-        if not patches.offsets:
-            raise ConfigError("patches.offsets must be non-empty")
-        for off in patches.offsets:
-            if not 0 <= off < patches.size:
-                raise ConfigError(
-                    f"offset {off} must lie in [0, patch size {patches.size})"
-                )
-        if patches.size > min(synth.image_width, synth.image_height):
+        """The checks that span sections; each section checked its own
+        fields when it was built."""
+        enc, synth = self.encoder, self.synth
+        if self.patches.size > min(synth.image_width, synth.image_height):
             raise ConfigError("patches.size exceeds the synthesized image size")
         grid = self.patch_grid()
         cols = grid.n_pixels if enc.scheme == 1 else int(math.ceil(grid.diagonal))
@@ -128,34 +123,10 @@ class PipelineConfig:
             )
         if self.decode.min_support is not None and self.decode.min_support > enc.axes:
             raise ConfigError("decode.min_support exceeds encoder.axes")
-        if self.predictor.mode not in ("oracle", "trained"):
-            raise ConfigError(f"predictor.mode must be oracle or trained, got {self.predictor.mode!r}")
-        if self.predictor.sigma_rel < 0:
-            raise ConfigError("predictor.sigma_rel must be >= 0")
-        if self.evaluation.rho <= 0:
-            raise ConfigError("evaluation.rho must be > 0")
-        if self.run.workers < 1:
-            raise ConfigError("run.workers must be >= 1")
         return self
 
 
-_SECTIONS = {
-    "encoder": EncoderConfig,
-    "recovery": RecoveryParams,
-    "decode": DecodeParams,
-    "predictor": PredictorConfig,
-    "synth": SynthConfig,
-    "patches": PatchConfig,
-    "evaluation": EvaluationConfig,
-    "run": RunConfig,
-}
-
-_TUPLE_FIELDS = {
-    ("synth", "cell_count"),
-    ("synth", "blob_radius"),
-    ("synth", "intensity"),
-    ("patches", "offsets"),
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)}
 
 
 def default_config() -> PipelineConfig:
@@ -173,30 +144,18 @@ def _from_dict(doc: dict) -> PipelineConfig:
         block = doc.get(name, {})
         if not isinstance(block, dict):
             raise ConfigError(f"section '{name}' must be a mapping")
-        valid = {f for f in cls.__dataclass_fields__}
-        bad = set(block) - valid
+        bad = set(block) - set(cls.__dataclass_fields__)
         if bad:
             raise ConfigError(f"unknown keys in '{name}': {sorted(bad)}")
         for key, value in block.items():
             items = value if isinstance(value, list) else [value]
             if any(isinstance(v, float) and not math.isfinite(v) for v in items):
                 raise ConfigError(f"{name}.{key} must be finite, got {value}")
-        coerced = {
-            key: tuple(value) if (name, key) in _TUPLE_FIELDS and value is not None else value
-            for key, value in block.items()
-        }
         try:
-            kwargs[name] = cls(**coerced)
+            kwargs[name] = cls(**block)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"section '{name}': {exc}") from exc
     return PipelineConfig(**kwargs)
-
-
-def _to_dict(config: PipelineConfig) -> dict:
-    doc = asdict(config)
-    for section, key in _TUPLE_FIELDS:
-        doc[section][key] = list(doc[section][key])
-    return doc
 
 
 def load_config(path) -> PipelineConfig:
@@ -206,8 +165,3 @@ def load_config(path) -> PipelineConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return _from_dict(doc or {}).validate()
-
-
-def save_config(config: PipelineConfig, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(_to_dict(config), fh, sort_keys=True)

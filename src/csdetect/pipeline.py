@@ -38,7 +38,6 @@ from .recovery import recover_rows
 from .sensing import SensingMatrix, make_sensing_matrix
 from .synthdata import (
     Patch,
-    SynthesisParams,
     extract_patches,
     generate_image,
     load_pgm,
@@ -92,6 +91,11 @@ class Codec:
     phi: SensingMatrix
     scheme: int
 
+    @property
+    def code_shape(self) -> tuple:
+        """(blocks, M) of a code: one block per axis, one on scheme 1."""
+        return (self.layout.count if self.scheme == 2 else 1, self.phi.rows)
+
 
 def make_codec(config: PipelineConfig) -> Codec:
     grid = config.patch_grid()
@@ -144,23 +148,15 @@ def generate_dataset(config: PipelineConfig, out_dir) -> dict:
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "annotations").mkdir(parents=True, exist_ok=True)
     synth = config.synth
-    grid = ImageGrid(width=synth.image_width, height=synth.image_height)
     entries = []
     splits = {"train": [], "test": []}
     index = 0
     for split, count in (("train", synth.train_images), ("test", synth.test_images)):
         for i in range(count):
             image_id = f"{split}_{i:03d}"
-            params = SynthesisParams(
-                grid=grid,
-                cell_count_range=synth.cell_count,
-                blob_radius_range=synth.blob_radius,
-                intensity_range=synth.intensity,
-                background_noise_sigma=synth.background_noise_sigma,
-                min_separation=synth.min_separation,
-                seed=derive_seed(config.run.seed, index, salt=SALT_SYNTH),
+            image, annotations = generate_image(
+                synth, derive_seed(config.run.seed, index, salt=SALT_SYNTH)
             )
-            image, annotations = generate_image(params)
             save_pgm(image, out / "images" / f"{image_id}.pgm")
             save_annotations_csv(annotations, out / "annotations" / f"{image_id}.csv")
             entries.append(
@@ -174,7 +170,7 @@ def generate_dataset(config: PipelineConfig, out_dir) -> dict:
             splits[split].append(image_id)
             index += 1
     manifest = {
-        "grid": {"width": grid.width, "height": grid.height},
+        "grid": {"width": synth.image_width, "height": synth.image_height},
         "seed": config.run.seed,
         "images": entries,
         "splits": splits,
@@ -228,18 +224,13 @@ def train_from_manifest(config: PipelineConfig, manifest_path, codec: Codec) -> 
     if not images:
         raise ValueError(f"{manifest_path}: no training images")
     examples = build_training_examples(config, images, codec)
-    pred = config.predictor
+    block_count, block_size = codec.code_shape
     return train_regressor(
         examples,
-        epochs=pred.epochs,
-        learning_rate=pred.learning_rate,
-        seed=derive_seed(config.run.seed, 0, salt=SALT_TRAIN),
-        block_size=codec.phi.rows,
-        block_count=codec.layout.count if codec.scheme == 2 else 1,
-        mtl_lambda=pred.mtl_lambda,
-        hidden=pred.hidden,
-        batch_size=pred.batch_size,
-        input_edge=pred.input_edge,
+        config.predictor,
+        derive_seed(config.run.seed, 0, salt=SALT_TRAIN),
+        block_size=block_size,
+        block_count=block_count,
     )
 
 

@@ -12,6 +12,7 @@ implementations:
   {y, lambda * cell_count}; prediction strips the trailing count channel.
 
 Any callable with the predict() signature can replace these.
+PredictorParams is the `predictor:` config section.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from .core import fmt_float
 
 __all__ = [
+    "PredictorParams",
     "TrainingExample",
     "RegressorModel",
     "fuse_labels",
@@ -75,6 +77,34 @@ def oracle_predict(y_true: np.ndarray, sigma_rel: float, seed: int) -> np.ndarra
     norms = np.sqrt([block.dot(block) for block in blocks])
     # one draw fills the blocks in order, the same stream as one draw per block
     return blocks + rng.normal(0.0, scale * norms[:, None], blocks.shape)
+
+
+@dataclass(frozen=True)
+class PredictorParams:
+    """The `predictor:` config section: mode "oracle" (oracle_predict with
+    relative noise sigma_rel) or "trained", and train_regressor's network and
+    schedule; mtl_lambda 0 trains without the count channel."""
+
+    mode: str = "oracle"
+    sigma_rel: float = 0.05
+    mtl_lambda: float = 0.2
+    hidden: int = 64
+    epochs: int = 150
+    learning_rate: float = 0.05
+    batch_size: int = 32
+    input_edge: int = 32
+
+    def __post_init__(self):
+        if self.mode not in ("oracle", "trained"):
+            raise ValueError(f"mode must be oracle or trained, got {self.mode!r}")
+        for name in ("sigma_rel", "mtl_lambda"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("hidden", "epochs", "batch_size", "input_edge"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
 
 
 @dataclass(frozen=True)
@@ -212,36 +242,25 @@ def loss_and_gradients(w1, b1, w2, b2, x_batch, y_batch):
     return loss, (gw1, gb1, gw2, gb2)
 
 
-def train_regressor(
-    examples,
-    epochs: int,
-    learning_rate: float,
-    seed: int,
-    *,
-    block_size: int,
-    block_count: int,
-    mtl_lambda: float = 0.0,
-    hidden: int = 64,
-    batch_size: int = 32,
-    input_edge: int = 32,
-) -> tuple:
-    """Mini-batch gradient descent on squared error.
+def train_regressor(examples, params: PredictorParams, seed: int, *, block_size: int,
+                    block_count: int) -> tuple:
+    """Mini-batch gradient descent on squared error, with params' hidden,
+    epochs, learning_rate, batch_size, input_edge and mtl_lambda.
 
     Returns (model, per-epoch mean losses). Deterministic for a fixed seed:
     initialization and epoch shuffles come from one generator. Raises
-    ValueError at the end of the first epoch whose mean loss is not finite.
+    ValueError at the end of the first epoch whose mean loss is not finite;
+    numpy's overflow warnings on the way there are silenced.
     """
     if not examples:
         raise ValueError("need at least one training example")
-    if epochs < 1 or learning_rate <= 0:
-        raise ValueError("need epochs >= 1 and learning_rate > 0")
-    n_out = block_size * block_count + (1 if mtl_lambda > 0 else 0)
+    n_out = block_size * block_count + (1 if params.mtl_lambda > 0 else 0)
     for ex in examples:
         if ex.label.size != n_out:
             raise ValueError(
                 f"label length {ex.label.size} does not match layout {n_out}"
             )
-    x = np.stack([downsample_patch(ex.patch, input_edge) for ex in examples])
+    x = np.stack([downsample_patch(ex.patch, params.input_edge) for ex in examples])
     y = np.stack([ex.label for ex in examples])
     scale = float(np.sqrt(np.mean(y**2)))
     if scale == 0.0:
@@ -249,39 +268,41 @@ def train_regressor(
     y = y / scale
 
     rng = np.random.default_rng(seed)
-    w1, b1, w2, b2 = _initial_weights(rng, input_edge**2, hidden, n_out)
+    w1, b1, w2, b2 = _initial_weights(rng, params.input_edge**2, params.hidden, n_out)
 
     losses = []
     count = len(examples)
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(count)
-        epoch_loss = 0.0
-        for start in range(0, count, batch_size):
-            batch = order[start : start + batch_size]
-            loss, (gw1, gb1, gw2, gb2) = loss_and_gradients(
-                w1, b1, w2, b2, x[batch], y[batch]
-            )
-            w1 -= learning_rate * gw1
-            b1 -= learning_rate * gb1
-            w2 -= learning_rate * gw2
-            b2 -= learning_rate * gb2
-            epoch_loss += loss * len(batch)
-        if not np.isfinite(epoch_loss):
-            raise ValueError(
-                f"training diverged: epoch {epoch} of {epochs} has a non-finite loss "
-                f"at learning_rate {learning_rate}"
-            )
-        losses.append(epoch_loss / count)
+    rate = params.learning_rate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, params.epochs + 1):
+            order = rng.permutation(count)
+            epoch_loss = 0.0
+            for start in range(0, count, params.batch_size):
+                batch = order[start : start + params.batch_size]
+                loss, (gw1, gb1, gw2, gb2) = loss_and_gradients(
+                    w1, b1, w2, b2, x[batch], y[batch]
+                )
+                w1 -= rate * gw1
+                b1 -= rate * gb1
+                w2 -= rate * gw2
+                b2 -= rate * gb2
+                epoch_loss += loss * len(batch)
+            if not np.isfinite(epoch_loss):
+                raise ValueError(
+                    f"training diverged: epoch {epoch} of {params.epochs} has a "
+                    f"non-finite loss at learning_rate {rate}"
+                )
+            losses.append(epoch_loss / count)
 
     model = RegressorModel(
         w1=w1, b1=b1, w2=w2, b2=b2,
-        input_edge=input_edge,
+        input_edge=params.input_edge,
         block_size=block_size,
         block_count=block_count,
-        mtl_lambda=mtl_lambda,
+        mtl_lambda=params.mtl_lambda,
         output_scale=scale,
-        epochs=epochs,
-        learning_rate=learning_rate,
+        epochs=params.epochs,
+        learning_rate=rate,
         final_loss=losses[-1],
     )
     return model, losses

@@ -33,25 +33,37 @@ _PLACEMENT_ATTEMPTS = 500
 
 @dataclass(frozen=True)
 class SynthesisParams:
-    grid: ImageGrid
-    cell_count_range: tuple = (5, 20)
-    blob_radius_range: tuple = (4.0, 8.0)
-    intensity_range: tuple = (0.6, 1.0)
+    """The `synth:` config section: the dataset's image counts and how
+    generate_image draws each image; the three ranges are [min, max] pairs."""
+
+    train_images: int = 50
+    test_images: int = 50
+    image_width: int = 260
+    image_height: int = 260
+    cell_count: tuple = (5, 20)
+    blob_radius: tuple = (4.0, 8.0)
+    intensity: tuple = (0.6, 1.0)
     background_noise_sigma: float = 0.02
     min_separation: float = 24.0
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("cell_count_range", "blob_radius_range", "intensity_range"):
-            lo, hi = getattr(self, name)
+        for name in ("cell_count", "blob_radius", "intensity"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
+                raise ValueError(f"{name} must be a [min, max] pair, got {value!r}")
+            lo, hi = value
             if lo > hi:
                 raise ValueError(f"{name} minimum exceeds maximum")
             object.__setattr__(self, name, (lo, hi))
-        if self.cell_count_range[0] < 0:
+        if self.train_images < 0 or self.test_images < 0:
+            raise ValueError("train_images and test_images must be >= 0")
+        if self.image_width < 1 or self.image_height < 1:
+            raise ValueError("image_width and image_height must be >= 1")
+        if self.cell_count[0] < 0:
             raise ValueError("cell counts must be >= 0")
-        if self.blob_radius_range[0] <= 0:
+        if self.blob_radius[0] <= 0:
             raise ValueError("blob radii must be > 0")
-        if not (0 <= self.intensity_range[0] and self.intensity_range[1] <= 1):
+        if not (0 <= self.intensity[0] and self.intensity[1] <= 1):
             raise ValueError("intensities must lie in [0, 1]")
         if self.min_separation < 0:
             raise ValueError("min_separation must be >= 0")
@@ -59,20 +71,20 @@ class SynthesisParams:
             raise ValueError("background_noise_sigma must be >= 0")
 
 
-def generate_image(params: SynthesisParams):
-    """(image, annotations) for one seeded draw.
+def generate_image(params: SynthesisParams, seed: int):
+    """(image, annotations) for one seeded draw on an image_width x image_height grid.
 
     Centroids are rejection-sampled to respect min_separation and padded
     away from the border by the maximum blob radius so every cell is fully
     rendered. Infeasible parameter combinations fail with an error after a
     bounded number of attempts.
     """
-    grid = params.grid
-    rng = np.random.default_rng(params.seed)
-    lo, hi = params.cell_count_range
+    grid = ImageGrid(width=params.image_width, height=params.image_height)
+    rng = np.random.default_rng(seed)
+    lo, hi = params.cell_count
     count = int(rng.integers(lo, hi + 1))
 
-    pad = params.blob_radius_range[1]
+    pad = params.blob_radius[1]
     x_lo, x_hi = 1.0 + pad, grid.width - pad
     y_lo, y_hi = 1.0 + pad, grid.height - pad
     if count > 0 and (x_lo > x_hi or y_lo > y_hi):
@@ -98,8 +110,8 @@ def generate_image(params: SynthesisParams):
     ys = np.arange(1, grid.height + 1, dtype=np.float64)
     image = np.zeros((grid.height, grid.width))
     for cx, cy in cells:
-        radius = float(rng.uniform(*params.blob_radius_range))
-        amp = float(rng.uniform(*params.intensity_range))
+        radius = float(rng.uniform(*params.blob_radius))
+        amp = float(rng.uniform(*params.intensity))
         sigma = 0.5 * radius
         gx = np.exp(-((xs - cx) ** 2) / (2 * sigma**2))
         gy = np.exp(-((ys - cy) ** 2) / (2 * sigma**2))

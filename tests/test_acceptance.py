@@ -5,7 +5,6 @@ plain pytest run doubles as the acceptance report. Observed metrics from
 the first green run are the regression baselines for later changes.
 """
 
-import dataclasses
 import time
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from csdetect.encoder import (
 from csdetect.evaluation import MatchReport, aggregate_reports, match_detections, prf1
 from csdetect.pipeline import derive_seed
 from csdetect.predictor import (
+    PredictorParams,
     TrainingExample,
     fuse_labels,
     init_model,
@@ -264,28 +264,26 @@ def test_criterion_9_training_lifts_f1():
     grid = ImageGrid(32, 32)
     layout = build_axis_layout(grid, 6)
     phi = make_sensing_matrix(12, layout.bin_count, 1234)
-    base = SynthesisParams(
-        grid=grid,
-        cell_count_range=(1, 1),
-        blob_radius_range=(3.5, 3.5),
-        intensity_range=(1.0, 1.0),
+    synth = SynthesisParams(
+        image_width=32,
+        image_height=32,
+        cell_count=(1, 1),
+        blob_radius=(3.5, 3.5),
+        intensity=(1.0, 1.0),
         background_noise_sigma=0.005,
         min_separation=12.0,
-        seed=0,
     )
     examples = []
     for i in range(500):
-        image, ann = generate_image(dataclasses.replace(base, seed=derive_seed(7, i)))
+        image, ann = generate_image(synth, derive_seed(7, i))
         for pixels, cells in rotate_augment(image, ann):
             y = encode_scheme2(cells, layout, phi)
             examples.append(
                 TrainingExample(patch=pixels, label=fuse_labels(y, len(cells.cells), 0.2))
             )
-    model, _ = train_regressor(
-        examples, epochs=5000, learning_rate=0.02, seed=99,
-        block_size=12, block_count=6, mtl_lambda=0.2, hidden=256,
-        batch_size=32, input_edge=16,
-    )
+    training = PredictorParams(epochs=5000, learning_rate=0.02, mtl_lambda=0.2, hidden=256,
+                               batch_size=32, input_edge=16)
+    model, _ = train_regressor(examples, training, 99, block_size=12, block_count=6)
     untrained = init_model(16, 256, 12, 6, mtl_lambda=0.2, seed=99)
 
     recovery = RecoveryParams(solver="omp", max_sparsity=1)
@@ -294,9 +292,7 @@ def test_criterion_9_training_lifts_f1():
     for name, net in (("trained", model), ("untrained", untrained)):
         reports = []
         for i in range(40):
-            image, ann = generate_image(
-                dataclasses.replace(base, seed=derive_seed(7, 10_000 + i))
-            )
+            image, ann = generate_image(synth, derive_seed(7, 10_000 + i))
             y_hat = predict(net, image)
             det = decode_scheme2(y_hat, layout, phi, params=params, recovery=recovery)
             reports.append(match_detections(det, ann, rho=6.0))

@@ -3,7 +3,9 @@
 import dataclasses
 import logging
 import math
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import yaml
 
 from csdetect import recovery
 from csdetect.cli import entry
-from csdetect.config import ConfigError, default_config, load_config, save_config
+from csdetect.config import ConfigError, default_config, load_config
 from csdetect.predictor import init_model, oracle_predict, save_model
 from csdetect.synthdata import extract_patches, save_pgm
 from csdetect.core import AnnotationSet, ImageGrid
@@ -64,18 +66,25 @@ def workspace(tmp_path_factory):
 # ------------------------------------------------------------------- config
 
 
-def test_config_round_trip(tmp_path):
-    path = tmp_path / "cfg.yaml"
-    config = load_config(_write_config(path))
-    save_config(config, path)
-    assert load_config(path) == config
+def test_config_lists_load_as_tuples_and_recovery_keeps_its_defaults(tmp_path):
+    config = load_config(_write_config(tmp_path / "cfg.yaml"))
     assert config.synth.cell_count == (1, 2)
     assert config.patches.offsets == (0,)
-    save_config(default_config(), path)
-    assert yaml.safe_load(path.read_text())["recovery"] == {
+    assert dataclasses.asdict(default_config().recovery) == {
         "solver": "bp", "max_sparsity": None, "residual_tol": 1e-8,
         "noise_budget_frac": 0.1, "max_iterations": 2000, "shrinkage_step": 1.0,
     }
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```yaml\n(.*?)^```$", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.yaml"
+    path.write_text(blocks[0])
+    config = load_config(path)
+    assert config.encoder == default_config().encoder
+    assert config.decode.min_support == 14
 
 
 def test_empty_config_gives_defaults(tmp_path):
@@ -459,6 +468,11 @@ def test_cli_exit_codes(workspace, tmp_path, capsys):
     ("decode", "bandwidth", float("nan")),
     ("decode", "bandwidth", float("inf")),
     ("evaluation", "rho", float("nan")),
+    ("predictor", "hidden", 0),
+    ("predictor", "input_edge", 0),
+    ("predictor", "batch_size", 0),
+    ("predictor", "epochs", 0),
+    ("synth", "cell_count", [20, 5]),
 ])
 def test_cli_bad_stage_value_is_a_config_error(workspace, tmp_path, capsys, section, key, value):
     doc = dict(SMALL, **{section: dict(SMALL[section], **{key: value})})
@@ -471,6 +485,48 @@ def test_cli_bad_stage_value_is_a_config_error(workspace, tmp_path, capsys, sect
     if isinstance(value, str):
         assert repr(value) in err
     assert not out.exists()  # rejected before any image was decoded
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("encoder", "axes", "x"),
+    ("synth", "cell_count", 5),
+    ("patches", "offsets", 0),
+    ("run", "workers", "x"),
+    ("patches", "size", "x"),
+    ("evaluation", "rho", "x"),
+    ("synth", "image_width", "x"),
+    ("run", "seed", "x"),
+])
+def test_cli_value_of_the_wrong_type_is_a_config_error(workspace, tmp_path, capsys,
+                                                         section, key, value):
+    doc = dict(SMALL, **{section: dict(SMALL[section], **{key: value})})
+    bad = _write_config(tmp_path / "bad.yaml", doc)
+    out = tmp_path / "out"
+    assert entry(["run", "--config", bad, "--manifest", workspace["manifest"],
+                  "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: section '{section}': ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_rejects_a_model_for_another_code_layout(workspace, tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    assert entry(["train", "--config", workspace["config"],
+                  "--manifest", workspace["manifest"], "--out", str(model_dir)]) == 0
+    capsys.readouterr()
+    other = dict(SMALL, encoder=dict(SMALL["encoder"], axes=7, measurements=13))
+    cfg = _write_config(tmp_path / "other.yaml", other)
+    out = tmp_path / "out"
+    model = model_dir / "model.bin"
+    assert entry(["run", "--config", cfg, "--mode", "trained", "--model", str(model),
+                  "--manifest", workspace["manifest"], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"config error: {model}: the model predicts 6 blocks of 12 measurements, "
+        f"the config's codec needs 7 blocks of 13\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_rejects_truncated_model(workspace, tmp_path, capsys):

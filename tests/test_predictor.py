@@ -7,6 +7,7 @@ import pytest
 
 from csdetect import predictor
 from csdetect.predictor import (
+    PredictorParams,
     RegressorModel,
     TrainingExample,
     downsample_patch,
@@ -113,11 +114,9 @@ def test_gradients_match_finite_differences_loosely():
 def test_training_memorizes_one_example():
     rng = np.random.default_rng(6)
     ex = TrainingExample(patch=rng.uniform(size=(8, 8)), label=rng.normal(scale=12.0, size=9))
-    model, losses = train_regressor(
-        [ex], epochs=2000, learning_rate=0.05, seed=1,
-        block_size=4, block_count=2, mtl_lambda=0.2, hidden=16,
-        batch_size=4, input_edge=8,
-    )
+    params = PredictorParams(epochs=2000, learning_rate=0.05, mtl_lambda=0.2, hidden=16,
+                             batch_size=4, input_edge=8)
+    model, losses = train_regressor([ex], params, 1, block_size=4, block_count=2)
     assert losses[-1] < 1e-3 * losses[0]
     y_hat = predict(model, ex.patch)
     truth = ex.label[:-1]
@@ -130,24 +129,34 @@ def test_training_is_deterministic():
         TrainingExample(patch=rng.uniform(size=(8, 8)), label=rng.normal(size=8))
         for _ in range(5)
     ]
-    kwargs = dict(epochs=40, learning_rate=0.02, seed=3, block_size=4,
-                  block_count=2, mtl_lambda=0.0, hidden=8, batch_size=2, input_edge=8)
-    a, losses_a = train_regressor(examples, **kwargs)
-    b, losses_b = train_regressor(examples, **kwargs)
+    params = PredictorParams(epochs=40, learning_rate=0.02, mtl_lambda=0.0, hidden=8,
+                             batch_size=2, input_edge=8)
+    a, losses_a = train_regressor(examples, params, 3, block_size=4, block_count=2)
+    b, losses_b = train_regressor(examples, params, 3, block_size=4, block_count=2)
     assert losses_a == losses_b
     assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
     assert np.array_equal(a.b1, b.b1) and np.array_equal(a.b2, b.b2)
 
 
 def test_training_validates_inputs():
+    params = PredictorParams(epochs=1, learning_rate=0.1, mtl_lambda=0.0, input_edge=8)
     with pytest.raises(ValueError):
-        train_regressor([], epochs=1, learning_rate=0.1, seed=0, block_size=2, block_count=1)
+        train_regressor([], params, 0, block_size=2, block_count=1)
     ex = TrainingExample(patch=np.zeros((8, 8)), label=np.zeros(3))
     with pytest.raises(ValueError, match="label length"):
-        train_regressor([ex], epochs=1, learning_rate=0.1, seed=0,
-                        block_size=2, block_count=1, input_edge=8)
+        train_regressor([ex], params, 0, block_size=2, block_count=1)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("mode", "learned"), ("sigma_rel", -0.1), ("mtl_lambda", -0.2), ("hidden", 0),
+    ("epochs", 0), ("learning_rate", 0.0), ("batch_size", 0), ("input_edge", 0),
+])
+def test_predictor_params_reject_bad_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        PredictorParams(**{key: value})
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings stay silent
 def test_training_stops_at_the_first_non_finite_epoch(monkeypatch):
     rng = np.random.default_rng(10)
     examples = [
@@ -162,10 +171,10 @@ def test_training_stops_at_the_first_non_finite_epoch(monkeypatch):
         return loss, grads
 
     monkeypatch.setattr(predictor, "loss_and_gradients", counted)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError) as caught:
-            train_regressor(examples, epochs=50, learning_rate=1e6, seed=0, block_size=4,
-                            block_count=2, hidden=8, batch_size=2, input_edge=8)
+    params = PredictorParams(epochs=50, learning_rate=1e6, mtl_lambda=0.0, hidden=8,
+                             batch_size=2, input_edge=8)
+    with pytest.raises(ValueError) as caught:
+        train_regressor(examples, params, 0, block_size=4, block_count=2)
     # two batches per epoch; the epoch holding the first non-finite batch
     # loss is the last one run
     first_bad = next(i for i, loss in enumerate(batch_losses) if not np.isfinite(loss))
@@ -199,11 +208,9 @@ def test_predict_shape_and_count_channel():
 def test_model_file_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     ex = TrainingExample(patch=rng.uniform(size=(8, 8)), label=rng.normal(size=9))
-    model, _ = train_regressor(
-        [ex], epochs=5, learning_rate=0.01, seed=4,
-        block_size=4, block_count=2, mtl_lambda=0.3, hidden=8,
-        batch_size=1, input_edge=8,
-    )
+    params = PredictorParams(epochs=5, learning_rate=0.01, mtl_lambda=0.3, hidden=8,
+                             batch_size=1, input_edge=8)
+    model, _ = train_regressor([ex], params, 4, block_size=4, block_count=2)
     path = tmp_path / "model.bin"
     save_model(model, path)
     loaded = load_model(path)

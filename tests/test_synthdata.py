@@ -20,23 +20,28 @@ from csdetect.synthdata import (
     write_manifest,
 )
 
-BASE = SynthesisParams(grid=ImageGrid(64, 64), blob_radius_range=(3.0, 5.0), min_separation=12.0)
+BASE = SynthesisParams(image_width=64, image_height=64, blob_radius=(3.0, 5.0), min_separation=12.0)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        dataclasses.replace(BASE, cell_count_range=(5, 2))
+        dataclasses.replace(BASE, cell_count=(5, 2))
     with pytest.raises(ValueError):
-        dataclasses.replace(BASE, blob_radius_range=(0.0, 2.0))
+        dataclasses.replace(BASE, blob_radius=(0.0, 2.0))
     with pytest.raises(ValueError):
-        dataclasses.replace(BASE, intensity_range=(0.5, 1.5))
+        dataclasses.replace(BASE, intensity=(0.5, 1.5))
     with pytest.raises(ValueError):
         dataclasses.replace(BASE, background_noise_sigma=-0.1)
+    with pytest.raises(ValueError, match=r"cell_count must be a \[min, max\] pair, got 5"):
+        dataclasses.replace(BASE, cell_count=5)
+    with pytest.raises(ValueError, match="image_width"):
+        dataclasses.replace(BASE, image_width=0)
+    assert dataclasses.replace(BASE, intensity=[0.5, 1.0]).intensity == (0.5, 1.0)
 
 
 def test_zero_cells_gives_noise_only_image():
-    params = dataclasses.replace(BASE, cell_count_range=(0, 0), seed=1)
-    image, ann = generate_image(params)
+    params = dataclasses.replace(BASE, cell_count=(0, 0))
+    image, ann = generate_image(params, 1)
     assert len(ann) == 0
     assert image.shape == (64, 64)
     assert image.max() <= 1.0 and image.min() >= 0.0
@@ -44,19 +49,15 @@ def test_zero_cells_gives_noise_only_image():
 
 
 def test_generation_is_deterministic():
-    params = dataclasses.replace(BASE, seed=77)
-    image_a, ann_a = generate_image(params)
-    image_b, ann_b = generate_image(params)
+    image_a, ann_a = generate_image(BASE, 77)
+    image_b, ann_b = generate_image(BASE, 77)
     assert np.array_equal(image_a, image_b)
     assert ann_a == ann_b
 
 
 def test_separation_constraint_is_respected():
-    grid = ImageGrid(260, 260)
-    params = SynthesisParams(
-        grid=grid, cell_count_range=(5, 5), min_separation=40.0, seed=3
-    )
-    _, ann = generate_image(params)
+    params = SynthesisParams(cell_count=(5, 5), min_separation=40.0)
+    _, ann = generate_image(params, 3)
     pts = ann.coords()
     assert len(ann) == 5
     for i in range(5):
@@ -66,20 +67,19 @@ def test_separation_constraint_is_respected():
 
 def test_blobs_peak_near_their_centroids():
     params = dataclasses.replace(
-        BASE, cell_count_range=(3, 3), background_noise_sigma=0.0,
-        intensity_range=(0.9, 1.0), seed=5,
+        BASE, cell_count=(3, 3), background_noise_sigma=0.0, intensity=(0.9, 1.0)
     )
-    image, ann = generate_image(params)
+    image, ann = generate_image(params, 5)
     for x, y in ann.cells:
         assert image[round_half_up(y) - 1, round_half_up(x) - 1] > 0.5
 
 
 def test_infeasible_separation_raises():
     params = dataclasses.replace(
-        BASE, cell_count_range=(30, 30), min_separation=60.0, seed=0
+        BASE, cell_count=(30, 30), min_separation=60.0
     )
     with pytest.raises(ValueError, match="could not place"):
-        generate_image(params)
+        generate_image(params, 0)
 
 
 def test_patch_tiling_covers_and_localizes():
