@@ -2,7 +2,8 @@
 
 Each section is the frozen dataclass its stage reads and checks its own
 fields when built (RecoveryParams, DecodeParams, PredictorParams and
-SynthesisParams live with their stages); validate() checks across sections.
+SynthesisParams live with their stages); loading rejects non-integers in
+int keys, and validate() checks across sections.
 
 The shipped defaults are a known-good operating point for 260x260 patches:
 112 measurements per axis, 27 axes, count-channel weight 0.20.
@@ -57,7 +58,7 @@ class EncoderConfig:
 @dataclass(frozen=True)
 class PatchConfig:
     size: int = 260
-    offsets: tuple = (0,)
+    offsets: tuple[int, ...] = (0,)
 
     def __post_init__(self):
         if self.size < 1:
@@ -87,9 +88,6 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("seed", "matrix_seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -144,13 +142,18 @@ def _from_dict(doc: dict) -> PipelineConfig:
         block = doc.get(name, {})
         if not isinstance(block, dict):
             raise ConfigError(f"section '{name}' must be a mapping")
-        bad = set(block) - set(cls.__dataclass_fields__)
+        types = {f.name: f.type for f in fields(cls)}
+        bad = set(block) - set(types)
         if bad:
             raise ConfigError(f"unknown keys in '{name}': {sorted(bad)}")
         for key, value in block.items():
             items = value if isinstance(value, list) else [value]
             if any(isinstance(v, float) and not math.isfinite(v) for v in items):
                 raise ConfigError(f"{name}.{key} must be finite, got {value}")
+            integral = all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in items)
+            optional = value is None and "None" in types[key]
+            if types[key].startswith(("int", "tuple[int")) and not (integral or optional):
+                raise ConfigError(f"section '{name}': {key} must be integral, got {value!r}")
         try:
             kwargs[name] = cls(**block)
         except (TypeError, ValueError) as exc:

@@ -49,12 +49,12 @@ _MODEL_FLOATS = struct.Struct("<dddd")
 
 def fuse_labels(y: np.ndarray, cell_count: int, lam: float) -> np.ndarray:
     """Training label {y, lambda * count}: the code's blocks end to end,
-    with one extra entry."""
+    with the count entry only when lambda > 0, as the network's outputs."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if cell_count < 0:
         raise ValueError("cell_count must be >= 0")
-    return np.concatenate([np.ravel(y), [lam * cell_count]])
+    return np.concatenate([np.ravel(y), [lam * cell_count] if lam > 0 else []])
 
 
 def oracle_predict(y_true: np.ndarray, sigma_rel: float, seed: int) -> np.ndarray:
@@ -158,10 +158,6 @@ class RegressorModel:
             )
         if self.w1.shape[0] != self.input_edge**2:
             raise ValueError("w1 rows must equal input_edge**2")
-
-    @property
-    def input_size(self) -> int:
-        return self.input_edge**2
 
     @property
     def hidden_size(self) -> int:

@@ -16,12 +16,12 @@ decoding routes call.
   normal equations.
 * bp: basis pursuit denoising, min ||f||_1 s.t. ||y - Phi f|| <= eps,
   solved by monotone accelerated shrinkage-thresholding with lambda
-  continuation and a final least-squares debias on the detected support.
-  eps = 0 asks for the equality-constrained program and is handled with a
-  tiny internal floor. A row stops once a refit is inside its budget, or
-  once its support is wider than M after it already holds a refit (no
-  further refit is possible), as continuation solvers stop early (Hale,
-  Yin & Zhang 2008, fixed-point continuation).
+  continuation and a least-squares refit of the support after each phase,
+  batched like omp's. eps = 0 asks for the equality-constrained program
+  and is handled with a tiny internal floor. A row stops once a refit is
+  inside its budget, or once its support is wider than M after it already
+  holds a refit (no further refit is possible), as continuation solvers
+  stop early (Hale, Yin & Zhang 2008, fixed-point continuation).
 
 Both treat residual tolerances relative to ||y|| so recovery commutes with
 positive rescaling of the measurements.
@@ -284,17 +284,26 @@ def lasso_shrinkage(
     return x
 
 
-def _debias(y: np.ndarray, a: np.ndarray, x: np.ndarray):
-    """Least-squares refit of x on its own support; returns (refit, residual
-    norm) or None when the support is empty or wider than the row count."""
-    support = np.flatnonzero(x)
-    if support.size == 0 or support.size > a.shape[0]:
-        return None
-    coeffs = np.linalg.lstsq(a[:, support], y, rcond=None)[0]
-    refit = np.zeros_like(x)
-    refit[support] = coeffs
-    rnorm = float(np.linalg.norm(y - a[:, support] @ coeffs))
-    return refit, rnorm
+def _refit_rows(ys: np.ndarray, a: np.ndarray, xs: np.ndarray):
+    """Least-squares refit of each row of xs (rows, N) on its own support
+    against its row of ys; returns (refits, residual norms), zeros and inf
+    where the support is empty or wider than M. One batched normal-equations
+    solve per support size, so no row depends on its stack; a size whose
+    Gram matrices are singular (a repeated column) gets per-row min-norm lstsq."""
+    refits = np.zeros_like(xs)
+    residuals = np.full(xs.shape[0], np.inf)
+    sizes = np.count_nonzero(xs, axis=1)
+    for k in np.unique(sizes[(sizes > 0) & (sizes <= a.shape[0])]):
+        group = np.flatnonzero(sizes == k)
+        support = np.nonzero(xs[group])[1].reshape(group.size, k)
+        cols, y = a.T[support], ys[group]  # cols[i] holds row i's support columns
+        try:
+            coeffs = np.linalg.solve(cols @ cols.transpose(0, 2, 1), cols @ y[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            coeffs = np.array([np.linalg.lstsq(c.T, v, rcond=None)[0] for c, v in zip(cols, y)])
+        refits[group[:, None], support] = coeffs
+        residuals[group] = np.linalg.norm(y - (coeffs[:, None, :] @ cols)[:, 0, :], axis=1)
+    return refits, residuals
 
 
 def bp_recover(
@@ -317,10 +326,10 @@ def bp_recover_rows(
 
     Runs the fixed-lambda solver in short phases, starting from
     lam = 0.25 ||A^T y||_inf and shrinking lam fivefold per phase; after
-    each phase the current support is refit by least squares and accepted
-    as soon as the refit residual is inside the noise budget. The refit
-    also debiases the shrinkage. Entries below 1e-4 of the peak magnitude
-    are zeroed before returning.
+    each phase every row's support is refit by least squares in batched
+    solves (_refit_rows) and accepted as soon as the refit residual is
+    inside the noise budget. The refit also debiases the shrinkage. Entries
+    below 1e-4 of the peak magnitude are zeroed before returning.
 
     The rows are independent problems solved together: they share the step
     (from the matrix's cached ||Phi||^2 estimate) and the phase schedule,
@@ -362,26 +371,18 @@ def bp_recover_rows(
         budget -= this_phase
         iterations[active] += this_phase
         mag = np.abs(x)
-        peak = mag.max(axis=1)
-        cleaned = np.where(mag >= _HARD_FLOOR * peak[:, None], x, 0.0)
+        cleaned = np.where(mag >= _HARD_FLOOR * mag.max(axis=1, keepdims=True), x, 0.0)
         wide = np.count_nonzero(cleaned, axis=1) > m
-        done = np.zeros(active.size, dtype=bool)
-        for k in np.flatnonzero(peak > 0.0):
-            refit = _debias(y_act[k], a, cleaned[k])
-            if refit is None:
-                continue
-            r = active[k]
-            if refit[1] < best_residual[r]:
-                best[r], best_residual[r] = refit
-            done[k] = refit[1] <= eps[r]
+        refits, residuals = _refit_rows(y_act, a, cleaned)
+        better = residuals < best_residual[active]
+        best[active[better]], best_residual[active[better]] = refits[better], residuals[better]
+        done = residuals <= eps[active]
         lam_act = np.maximum(lam_act * _LAMBDA_SHRINK, lam_floor[active])
         converged[active[done]] = True
         # a row too wide to refit that holds a refit already returns it,
         # whatever further phases do, unless its support narrows again
-        leave = done | (wide & np.isfinite(best_residual[active]))
-        if leave.any():
-            keep = ~leave
-            active, x, y_act, lam_act = active[keep], x[keep], y_act[keep], lam_act[keep]
+        keep = ~(done | (wide & np.isfinite(best_residual[active])))
+        active, x, y_act, lam_act = active[keep], x[keep], y_act[keep], lam_act[keep]
 
     x_out[active] = x  # shrinkage iterates of the rows left unconverged
     refit = np.isfinite(best_residual)

@@ -40,7 +40,7 @@ class SynthesisParams:
     test_images: int = 50
     image_width: int = 260
     image_height: int = 260
-    cell_count: tuple = (5, 20)
+    cell_count: tuple[int, int] = (5, 20)
     blob_radius: tuple = (4.0, 8.0)
     intensity: tuple = (0.6, 1.0)
     background_noise_sigma: float = 0.02

@@ -413,6 +413,15 @@ def test_cli_train_then_run_trained(workspace, tmp_path, capsys):
     assert (out / "evaluation.csv").is_file()
 
 
+def test_cli_train_without_the_count_channel(workspace, tmp_path, capsys):
+    doc = dict(SMALL, predictor=dict(SMALL["predictor"], mtl_lambda=0))
+    cfg = _write_config(tmp_path / "no_count.yaml", doc)
+    code = entry(["train", "--config", cfg, "--manifest", workspace["manifest"],
+                  "--out", str(tmp_path / "model")])
+    assert code == 0
+    assert "trained 3 epochs" in capsys.readouterr().out
+
+
 def test_cli_ripcheck(workspace, tmp_path, capsys):
     out = tmp_path / "rip"
     code = entry(["ripcheck", "--config", workspace["config"], "--out", str(out),
@@ -506,6 +515,24 @@ def test_cli_value_of_the_wrong_type_is_a_config_error(workspace, tmp_path, caps
                   "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: section '{section}': ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("synth", "train_images", 1.5),
+    ("encoder", "axes", 6.5),
+    ("predictor", "hidden", 8.5),
+    ("patches", "offsets", [0.5]),
+    ("run", "seed", True),
+])
+def test_cli_non_integer_in_an_integer_key_is_a_config_error(tmp_path, capsys, section, key, value):
+    doc = dict(SMALL, **{section: dict(SMALL[section], **{key: value})})
+    bad = _write_config(tmp_path / "bad.yaml", doc)
+    out = tmp_path / "data"
+    assert entry(["synth", "--config", bad, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: section '{section}': {key} must be integral")
     assert "Traceback" not in err
     assert not out.exists()
 

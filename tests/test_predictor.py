@@ -34,7 +34,7 @@ def test_fuse_labels_layout():
     assert fused.size == y.size + 1
     assert fused[-1] == pytest.approx(1.0)
     assert np.array_equal(fused[:-1], y.ravel())
-    assert fuse_labels(y, cell_count=5, lam=0.0)[-1] == 0.0
+    assert np.array_equal(fuse_labels(y, cell_count=5, lam=0.0), y.ravel())
     assert fuse_labels(y, cell_count=0, lam=0.7)[-1] == 0.0
     with pytest.raises(ValueError):
         fuse_labels(y, cell_count=-1, lam=0.2)
@@ -82,7 +82,7 @@ def test_downsample_identity_and_pooling():
 
 def test_model_shape_validation():
     model = init_model(input_edge=4, hidden=6, block_size=3, block_count=2, mtl_lambda=0.2, seed=0)
-    assert model.input_size == 16
+    assert model.w1.shape == (16, 6)  # input_edge**2 inputs
     assert model.output_size == 7  # 6 signal entries + count channel
     no_count = init_model(4, 6, 3, 2, mtl_lambda=0.0, seed=0)
     assert no_count.output_size == 6

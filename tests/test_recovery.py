@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from csdetect.recovery import (
     RecoveryParams,
-    _debias,
+    _refit_rows,
     bp_recover,
     bp_recover_rows,
     default_max_sparsity,
@@ -396,11 +396,10 @@ def _bp_to_the_cap(y, phi, params):
         iterations += this_phase
         mag = np.abs(x[0])
         cleaned = np.where(mag >= 1e-4 * mag.max(), x[0], 0.0)
-        refit = _debias(y, a, cleaned) if mag.max() > 0.0 else None
-        if refit is not None:
-            if refit[1] < best_residual:
-                best, best_residual = refit
-            converged = refit[1] <= eps
+        (refit,), (residual,) = _refit_rows(y[None, :], a, cleaned[None, :])
+        if residual < best_residual:
+            best, best_residual = refit, residual
+        converged = residual <= eps
         lam = max(lam * 0.2, lam_floor)
     if best is None:
         return x[0], iterations, converged
@@ -516,6 +515,64 @@ def test_bp_rows_validation():
     with pytest.raises(ValueError):
         bp_recover(np.zeros(29), phi)
     _assert_empty(bp_recover_rows(np.zeros((0, 30)), phi))
+
+
+def _supports(n, sizes, rng):
+    """One row per size: random nonzero values on a random support."""
+    xs = np.zeros((len(sizes), n))
+    for row, k in zip(xs, sizes):
+        row[rng.choice(n, size=k, replace=False)] = rng.normal(size=k)
+    return xs
+
+
+def test_refit_rows_match_per_row_least_squares():
+    # the shipped 112x368 matrix and every support size it can refit, plus
+    # an empty support and one wider than M, which get no refit
+    a = make_sensing_matrix(112, 368, seed=1234).entries
+    rng = np.random.default_rng(31)
+    xs = _supports(368, range(114), rng)
+    ys = xs @ a.T + 0.05 * rng.normal(size=(114, 112))
+    refits, residuals = _refit_rows(ys, a, xs)
+    for y, x, refit, residual in zip(ys[1:113], xs[1:113], refits[1:113], residuals[1:113]):
+        support = np.flatnonzero(x)
+        cols = a[:, support]
+        coeffs = np.linalg.lstsq(cols, y, rcond=None)[0]
+        assert not np.delete(refit, support).any()
+        # the normal equations lose accuracy as cond(cols)^2 (Higham 2002,
+        # ch. 20); below cond 67 that is inside 1e-10, which covers every
+        # support basis pursuit refits on the benchmark (cond at most 25)
+        tol = max(1e-10, 100 * np.linalg.cond(cols) ** 2 * np.finfo(float).eps)
+        assert np.linalg.norm(refit[support] - coeffs) <= tol * np.linalg.norm(coeffs)
+        expected = np.linalg.norm(y - cols @ coeffs)
+        assert residual == pytest.approx(expected, rel=1e-10, abs=1e-10 * np.linalg.norm(y))
+    for k in (0, 113):
+        assert not refits[k].any() and residuals[k] == np.inf
+
+
+def test_refit_rows_do_not_depend_on_their_stack():
+    a = make_sensing_matrix(40, 128, seed=21).entries
+    rng = np.random.default_rng(32)
+    # repeated sizes, so most rows share their solve with others
+    xs = _supports(128, rng.integers(0, 45, size=60), rng)
+    ys = rng.normal(size=(60, 40))
+    order = rng.permutation(60)
+    refits, residuals = _refit_rows(ys[order], a, xs[order])
+    for i, row in enumerate(order):
+        (one,), (one_residual,) = _refit_rows(ys[row : row + 1], a, xs[row : row + 1])
+        assert np.array_equal(refits[i], one)
+        assert np.array_equal(residuals[i], one_residual)
+
+
+def test_bp_with_a_repeated_column_returns_a_fit():
+    # two identical columns enter the support together, and their Gram
+    # matrix is singular; the refit falls back to the minimum-norm answer
+    a = make_sensing_matrix(20, 60, seed=3).entries.copy()
+    a[:, 7] = a[:, 3]
+    phi = SensingMatrix(a, seed=3)
+    y = 1.5 * a[:, 3] - a[:, 20]
+    (x,), _, (converged,) = bp_recover_rows(y[None, :], phi)
+    assert converged and x[3] != 0.0 and x[7] != 0.0
+    assert np.linalg.norm(y - a @ x) <= 0.1 * np.linalg.norm(y)
 
 
 def test_diagnostic_median_error_grows_with_noise():
