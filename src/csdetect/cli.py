@@ -111,10 +111,6 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = _load(args)
     codec = make_codec(config)
-    if config.predictor.mode != "trained":
-        config = dataclasses.replace(
-            config, predictor=dataclasses.replace(config.predictor, mode="trained")
-        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model, losses = train_from_manifest(config, args.manifest, codec)

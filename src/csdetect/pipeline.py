@@ -26,14 +26,7 @@ from .core import (
 from .decoder import decode_scheme1, decode_scheme2, merge_ensemble
 from .encoder import AxisLayout, build_axis_layout, encode_scheme1, encode_scheme2
 from .evaluation import match_detections
-from .predictor import (
-    RegressorModel,
-    TrainingExample,
-    fuse_labels,
-    oracle_predict,
-    predict,
-    train_regressor,
-)
+from .predictor import RegressorModel, oracle_predict, predict, train_regressor
 from .recovery import recover_rows
 from .sensing import SensingMatrix, make_sensing_matrix
 from .synthdata import (
@@ -187,6 +180,12 @@ def load_split(manifest_path, split: str) -> list:
     base = manifest_path.parent
     grid = ImageGrid(width=manifest["grid"]["width"], height=manifest["grid"]["height"])
     wanted = set(manifest.get("splits", {}).get(split, []))
+    missing = wanted - {entry["id"] for entry in manifest["images"]}
+    if missing:
+        raise ValueError(
+            f"{manifest_path}: split '{split}' lists image ids {sorted(missing)!r} "
+            f"with no entry in 'images'"
+        )
     out = []
     for entry in manifest["images"]:
         if entry["id"] in wanted or (not wanted and entry.get("split") == split):
@@ -204,18 +203,19 @@ def load_split(manifest_path, split: str) -> list:
 # ---------------------------------------------------------------- training
 
 
-def build_training_examples(config: PipelineConfig, images, codec: Codec) -> list:
-    """Patch, rotate 4 ways, encode, fuse; one TrainingExample per view."""
-    lam = config.predictor.mtl_lambda
-    examples = []
+def build_training_examples(config: PipelineConfig, images, codec: Codec) -> tuple:
+    """(patches, codes, counts) of the training views: every patch rotated
+    4 ways, with the views' codes encoded into one (n, blocks, M) array."""
+    views = []
     for _, image, annotations in images:
         for patch in extract_patches(image, annotations, config.patches.size, (0, 0)):
-            for pixels, cells in rotate_augment(patch.pixels, patch.cells):
-                y = encode_patch(codec, cells)
-                examples.append(
-                    TrainingExample(patch=pixels, label=fuse_labels(y, len(cells), lam))
-                )
-    return examples
+            views.extend(rotate_augment(patch.pixels, patch.cells))
+    # filled in place: a list of per-view codes stacked afterwards would
+    # hold every code twice
+    codes = np.empty((len(views), *codec.code_shape))
+    for code, (_, cells) in zip(codes, views):
+        code[...] = encode_patch(codec, cells)
+    return [pixels for pixels, _ in views], codes, [len(cells) for _, cells in views]
 
 
 def train_from_manifest(config: PipelineConfig, manifest_path, codec: Codec) -> tuple:
@@ -223,14 +223,10 @@ def train_from_manifest(config: PipelineConfig, manifest_path, codec: Codec) -> 
     images = load_split(manifest_path, "train")
     if not images:
         raise ValueError(f"{manifest_path}: no training images")
-    examples = build_training_examples(config, images, codec)
-    block_count, block_size = codec.code_shape
     return train_regressor(
-        examples,
+        *build_training_examples(config, images, codec),
         config.predictor,
         derive_seed(config.run.seed, 0, salt=SALT_TRAIN),
-        block_size=block_size,
-        block_count=block_count,
     )
 
 
@@ -390,18 +386,17 @@ def ensemble_detection(
 ):
     """Run every configured offset and merge each image's detections.
 
-    Returns (merged results, per-offset results, failures).
+    Returns (merged results, per-offset results, failures). An image whose
+    pipeline raised at any offset counts as one failure and, as in
+    run_detection, has no merged result.
     """
     _warn_idle_offsets(config, images)
-    per_offset = []
-    failures = 0
-    for offset_index in range(len(config.patches.offsets)):
-        results, offset_failures = run_detection(config, codec, images, model, offset_index=offset_index)
-        failures += offset_failures
-        per_offset.append(results)
-
-    truth_by_id = {image_id: annotations for image_id, _, annotations in images}
+    per_offset = [
+        run_detection(config, codec, images, model, offset_index=offset_index)[0]
+        for offset_index in range(len(config.patches.offsets))
+    ]
     merged = []
+    failures = 0
     for image_id, _, annotations in images:
         sets = [
             result["detections"]
@@ -409,7 +404,10 @@ def ensemble_detection(
             for result in results
             if result["id"] == image_id
         ]
+        if len(sets) < len(per_offset):
+            failures += 1
+            continue
         fused = merge_ensemble(sets, config.decode.merge_radius, config.decode.merge_min_count)
-        report = match_detections(fused, truth_by_id[image_id], config.evaluation.rho)
+        report = match_detections(fused, annotations, config.evaluation.rho)
         merged.append({"id": image_id, "detections": fused, "report": report, "diagnostics": None})
     return merged, per_offset, failures

@@ -8,8 +8,8 @@ implementations:
   for studying decoder behavior under a controlled error level.
 * a small trainable regressor: block-mean downsample to a fixed input
   edge, one tanh hidden layer, linear output, squared-error loss, plain
-  mini-batch gradient descent. Optionally trained on fused labels
-  {y, lambda * cell_count}; prediction strips the trailing count channel.
+  mini-batch gradient descent. With mtl_lambda > 0 it also learns
+  lambda * cell_count as one extra output, which prediction drops.
 
 Any callable with the predict() signature can replace these.
 PredictorParams is the `predictor:` config section.
@@ -28,16 +28,13 @@ from .core import fmt_float
 
 __all__ = [
     "PredictorParams",
-    "TrainingExample",
     "RegressorModel",
-    "fuse_labels",
     "oracle_predict",
     "downsample_patch",
     "init_model",
     "loss_and_gradients",
     "train_regressor",
     "predict",
-    "predict_with_count",
     "save_model",
     "load_model",
     "save_training_log",
@@ -45,16 +42,6 @@ __all__ = [
 
 _MODEL_HEADER = struct.Struct("<qqqqqq")
 _MODEL_FLOATS = struct.Struct("<dddd")
-
-
-def fuse_labels(y: np.ndarray, cell_count: int, lam: float) -> np.ndarray:
-    """Training label {y, lambda * count}: the code's blocks end to end,
-    with the count entry only when lambda > 0, as the network's outputs."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if cell_count < 0:
-        raise ValueError("cell_count must be >= 0")
-    return np.concatenate([np.ravel(y), [lam * cell_count] if lam > 0 else []])
 
 
 def oracle_predict(y_true: np.ndarray, sigma_rel: float, seed: int) -> np.ndarray:
@@ -105,20 +92,6 @@ class PredictorParams:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-
-
-@dataclass(frozen=True)
-class TrainingExample:
-    patch: np.ndarray
-    label: np.ndarray
-
-    def __post_init__(self):
-        patch = np.asarray(self.patch, dtype=np.float64)
-        label = np.asarray(self.label, dtype=np.float64).ravel()
-        if patch.ndim != 2:
-            raise ValueError("patch must be a 2-D pixel matrix")
-        object.__setattr__(self, "patch", patch)
-        object.__setattr__(self, "label", label)
 
 
 @dataclass(frozen=True)
@@ -238,42 +211,48 @@ def loss_and_gradients(w1, b1, w2, b2, x_batch, y_batch):
     return loss, (gw1, gb1, gw2, gb2)
 
 
-def train_regressor(examples, params: PredictorParams, seed: int, *, block_size: int,
-                    block_count: int) -> tuple:
+def train_regressor(patches, codes, counts, params: PredictorParams, seed: int) -> tuple:
     """Mini-batch gradient descent on squared error, with params' hidden,
     epochs, learning_rate, batch_size, input_edge and mtl_lambda.
+
+    patches are the training views' pixel arrays, codes their codes as one
+    (n, block_count, block_size) array and counts their cell counts. A
+    view's label is its code's blocks end to end, followed by
+    mtl_lambda * count only when mtl_lambda > 0.
 
     Returns (model, per-epoch mean losses). Deterministic for a fixed seed:
     initialization and epoch shuffles come from one generator. Raises
     ValueError at the end of the first epoch whose mean loss is not finite;
     numpy's overflow warnings on the way there are silenced.
     """
-    if not examples:
+    codes = np.asarray(codes, dtype=np.float64)
+    if len(codes) == 0:
         raise ValueError("need at least one training example")
-    n_out = block_size * block_count + (1 if params.mtl_lambda > 0 else 0)
-    for ex in examples:
-        if ex.label.size != n_out:
-            raise ValueError(
-                f"label length {ex.label.size} does not match layout {n_out}"
-            )
-    x = np.stack([downsample_patch(ex.patch, params.input_edge) for ex in examples])
-    y = np.stack([ex.label for ex in examples])
+    if codes.ndim != 3 or len(patches) != len(codes) or len(counts) != len(codes):
+        raise ValueError(
+            f"{len(patches)} patches, codes of shape {codes.shape} and {len(counts)} counts "
+            f"do not describe the same (n, blocks, M) training views"
+        )
+    n, block_count, block_size = codes.shape
+    x = np.stack([downsample_patch(patch, params.input_edge) for patch in patches])
+    y = codes.reshape(n, -1)
+    if params.mtl_lambda > 0:
+        y = np.column_stack([y, params.mtl_lambda * np.asarray(counts, dtype=np.float64)])
     scale = float(np.sqrt(np.mean(y**2)))
     if scale == 0.0:
         scale = 1.0
     y = y / scale
 
     rng = np.random.default_rng(seed)
-    w1, b1, w2, b2 = _initial_weights(rng, params.input_edge**2, params.hidden, n_out)
+    w1, b1, w2, b2 = _initial_weights(rng, params.input_edge**2, params.hidden, y.shape[1])
 
     losses = []
-    count = len(examples)
     rate = params.learning_rate
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, params.epochs + 1):
-            order = rng.permutation(count)
+            order = rng.permutation(n)
             epoch_loss = 0.0
-            for start in range(0, count, params.batch_size):
+            for start in range(0, n, params.batch_size):
                 batch = order[start : start + params.batch_size]
                 loss, (gw1, gb1, gw2, gb2) = loss_and_gradients(
                     w1, b1, w2, b2, x[batch], y[batch]
@@ -288,7 +267,7 @@ def train_regressor(examples, params: PredictorParams, seed: int, *, block_size:
                     f"training diverged: epoch {epoch} of {params.epochs} has a "
                     f"non-finite loss at learning_rate {rate}"
                 )
-            losses.append(epoch_loss / count)
+            losses.append(epoch_loss / n)
 
     model = RegressorModel(
         w1=w1, b1=b1, w2=w2, b2=b2,
@@ -304,27 +283,13 @@ def train_regressor(examples, params: PredictorParams, seed: int, *, block_size:
     return model, losses
 
 
-def _raw_predict(model: RegressorModel, patch: np.ndarray) -> np.ndarray:
+def predict(model: RegressorModel, patch: np.ndarray) -> np.ndarray:
+    """Forward pass, as a (block_count, block_size) code; the outputs past
+    the code, the count channel of a model trained with one, are dropped."""
     features = downsample_patch(patch, model.input_edge)
     _, out = _forward(model.w1, model.b1, model.w2, model.b2, features[None, :])
-    return out[0] * model.output_scale
-
-
-def predict(model: RegressorModel, patch: np.ndarray) -> np.ndarray:
-    """Forward pass, as a (block_count, block_size) code; under label
-    fusion the count channel is dropped."""
-    return predict_with_count(model, patch)[0]
-
-
-def predict_with_count(model: RegressorModel, patch: np.ndarray) -> tuple:
-    """(predicted code, predicted cell count or None without fusion)."""
-    out = _raw_predict(model, patch)
-    if model.mtl_lambda > 0:
-        count = float(out[-1]) / model.mtl_lambda
-        out = out[:-1]
-    else:
-        count = None
-    return out.reshape(model.block_count, model.block_size), count
+    code = out[0, : model.block_count * model.block_size] * model.output_scale
+    return code.reshape(model.block_count, model.block_size)
 
 
 def save_model(model: RegressorModel, path) -> None:

@@ -26,8 +26,6 @@ from csdetect.evaluation import MatchReport, aggregate_reports, match_detections
 from csdetect.pipeline import derive_seed
 from csdetect.predictor import (
     PredictorParams,
-    TrainingExample,
-    fuse_labels,
     init_model,
     loss_and_gradients,
     oracle_predict,
@@ -273,17 +271,16 @@ def test_criterion_9_training_lifts_f1():
         background_noise_sigma=0.005,
         min_separation=12.0,
     )
-    examples = []
+    patches, codes, counts = [], [], []
     for i in range(500):
         image, ann = generate_image(synth, derive_seed(7, i))
         for pixels, cells in rotate_augment(image, ann):
-            y = encode_scheme2(cells, layout, phi)
-            examples.append(
-                TrainingExample(patch=pixels, label=fuse_labels(y, len(cells.cells), 0.2))
-            )
+            patches.append(pixels)
+            codes.append(encode_scheme2(cells, layout, phi))
+            counts.append(len(cells.cells))
     training = PredictorParams(epochs=5000, learning_rate=0.02, mtl_lambda=0.2, hidden=256,
                                batch_size=32, input_edge=16)
-    model, _ = train_regressor(examples, training, 99, block_size=12, block_count=6)
+    model, _ = train_regressor(patches, np.stack(codes), counts, training, 99)
     untrained = init_model(16, 256, 12, 6, mtl_lambda=0.2, seed=99)
 
     recovery = RecoveryParams(solver="omp", max_sparsity=1)

@@ -213,10 +213,10 @@ def test_build_training_examples_rotates_each_patch(tmp_path):
     images = [
         ("img", rng.uniform(size=(32, 32)), AnnotationSet(grid=grid, cells=((5.0, 8.0),)))
     ]
-    examples = build_training_examples(config, images, codec)
-    assert len(examples) == 4
-    assert all(ex.label.size == 12 * 6 + 1 for ex in examples)
-    assert all(ex.patch.shape == (32, 32) for ex in examples)
+    patches, codes, counts = build_training_examples(config, images, codec)
+    assert [patch.shape for patch in patches] == [(32, 32)] * 4
+    assert codes.shape == (4, 6, 12)
+    assert counts == [1, 1, 1, 1]
 
 
 def test_run_detection_counts_failures(tmp_path):
@@ -260,6 +260,18 @@ def test_run_detection_reports_non_finite_predictions(tmp_path, caplog, monkeypa
     assert record.getMessage() == "image img7 failed"
     on_axes = " on axes 1,2,3,4,5,6" if scheme == 2 else ""
     assert str(record.exc_info[1]) == f"patch at (0, 0): non-finite prediction{on_axes}"
+
+
+def test_ensemble_counts_a_failed_image_once(tmp_path):
+    doc = dict(SMALL, predictor=dict(SMALL["predictor"], mode="trained"),
+               patches={"size": 32, "offsets": [0, 8, 16]})
+    config = load_config(_write_config(tmp_path / "c.yaml", doc))
+    grid = ImageGrid(64, 64)
+    images = [("img", np.zeros((64, 64)), AnnotationSet(grid=grid, cells=((9.0, 9.0),)))]
+    merged, per_offset, failures = ensemble_detection(config, make_codec(config), images)
+    assert failures == 1
+    assert merged == []
+    assert per_offset == [[], [], []]
 
 
 @pytest.mark.parametrize("width, offsets, merge_min_count, expected", [
@@ -617,6 +629,12 @@ def _drop_annotations(manifest):
     manifest.write_text(yaml.safe_dump(doc))
 
 
+def _list_unknown_id(manifest):
+    doc = yaml.safe_load(manifest.read_text())
+    doc["splits"]["test"].append("test_999")
+    manifest.write_text(yaml.safe_dump(doc))
+
+
 def _nest_split_id(manifest):
     doc = yaml.safe_load(manifest.read_text())
     doc["splits"]["test"] = [[image_id] for image_id in doc["splits"]["test"]]
@@ -629,8 +647,9 @@ def _nest_split_id(manifest):
         (lambda manifest: manifest.write_text(""), "manifest must be a mapping"),
         (_drop_annotations, "images[1] needs a string 'annotations'"),
         (_nest_split_id, "split 'test' holds non-string image ids [['test_000'], ['test_001']]"),
+        (_list_unknown_id, "split 'test' lists image ids ['test_999'] with no entry in 'images'"),
     ],
-    ids=["empty", "no-annotations", "list-split-id"],
+    ids=["empty", "no-annotations", "list-split-id", "unknown-split-id"],
 )
 def test_cli_rejects_bad_manifest(workspace, tmp_path, capsys, spoil, reason):
     data = tmp_path / "data"

@@ -1,4 +1,4 @@
-"""Signal predictors: label fusion, noisy oracle, trainable regressor."""
+"""Signal predictors: noisy oracle, trainable regressor and its count channel."""
 
 import dataclasses
 
@@ -9,15 +9,12 @@ from csdetect import predictor
 from csdetect.predictor import (
     PredictorParams,
     RegressorModel,
-    TrainingExample,
     downsample_patch,
-    fuse_labels,
     init_model,
     load_model,
     loss_and_gradients,
     oracle_predict,
     predict,
-    predict_with_count,
     save_model,
     save_training_log,
     train_regressor,
@@ -28,18 +25,19 @@ def _signal(rng, block_size=4, block_count=3):
     return rng.normal(size=(block_count, block_size))
 
 
-def test_fuse_labels_layout():
-    y = _signal(np.random.default_rng(0))
-    fused = fuse_labels(y, cell_count=5, lam=0.2)
-    assert fused.size == y.size + 1
-    assert fused[-1] == pytest.approx(1.0)
-    assert np.array_equal(fused[:-1], y.ravel())
-    assert np.array_equal(fuse_labels(y, cell_count=5, lam=0.0), y.ravel())
-    assert fuse_labels(y, cell_count=0, lam=0.7)[-1] == 0.0
-    with pytest.raises(ValueError):
-        fuse_labels(y, cell_count=-1, lam=0.2)
-    with pytest.raises(ValueError):
-        fuse_labels(y, cell_count=1, lam=-0.2)
+def test_training_label_layout():
+    rng = np.random.default_rng(0)
+    codes = np.stack([_signal(rng) for _ in range(5)])
+    counts = [5, 0, 2, 7, 1]
+    patches = [rng.uniform(size=(8, 8)) for _ in range(5)]
+    fused = np.column_stack([codes.reshape(5, -1), 0.2 * np.array(counts, dtype=np.float64)])
+    for lam, labels in ((0.2, fused), (0.0, codes.reshape(5, -1))):
+        params = PredictorParams(epochs=1, learning_rate=0.01, mtl_lambda=lam, hidden=4,
+                                 batch_size=2, input_edge=4)
+        model, _ = train_regressor(patches, codes, counts, params, 0)
+        assert model.output_size == labels.shape[1]
+        assert (model.block_count, model.block_size) == (3, 4)
+        assert model.output_scale == float(np.sqrt(np.mean(labels**2)))
 
 
 def test_oracle_sigma_zero_is_identity():
@@ -113,26 +111,27 @@ def test_gradients_match_finite_differences_loosely():
 
 def test_training_memorizes_one_example():
     rng = np.random.default_rng(6)
-    ex = TrainingExample(patch=rng.uniform(size=(8, 8)), label=rng.normal(scale=12.0, size=9))
+    patch = rng.uniform(size=(8, 8))
+    label = rng.normal(scale=12.0, size=9)
+    code, count = label[:-1].reshape(1, 2, 4), label[-1] / 0.2
     params = PredictorParams(epochs=2000, learning_rate=0.05, mtl_lambda=0.2, hidden=16,
                              batch_size=4, input_edge=8)
-    model, losses = train_regressor([ex], params, 1, block_size=4, block_count=2)
+    model, losses = train_regressor([patch], code, [count], params, 1)
     assert losses[-1] < 1e-3 * losses[0]
-    y_hat = predict(model, ex.patch)
-    truth = ex.label[:-1]
+    y_hat = predict(model, patch)
+    truth = label[:-1]
     assert np.linalg.norm(y_hat.ravel() - truth) < 1e-2 * np.linalg.norm(truth)
 
 
 def test_training_is_deterministic():
     rng = np.random.default_rng(7)
-    examples = [
-        TrainingExample(patch=rng.uniform(size=(8, 8)), label=rng.normal(size=8))
-        for _ in range(5)
-    ]
+    views = [(rng.uniform(size=(8, 8)), rng.normal(size=8)) for _ in range(5)]
+    patches = [patch for patch, _ in views]
+    codes = np.stack([label.reshape(2, 4) for _, label in views])
     params = PredictorParams(epochs=40, learning_rate=0.02, mtl_lambda=0.0, hidden=8,
                              batch_size=2, input_edge=8)
-    a, losses_a = train_regressor(examples, params, 3, block_size=4, block_count=2)
-    b, losses_b = train_regressor(examples, params, 3, block_size=4, block_count=2)
+    a, losses_a = train_regressor(patches, codes, [0] * 5, params, 3)
+    b, losses_b = train_regressor(patches, codes, [0] * 5, params, 3)
     assert losses_a == losses_b
     assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
     assert np.array_equal(a.b1, b.b1) and np.array_equal(a.b2, b.b2)
@@ -140,11 +139,12 @@ def test_training_is_deterministic():
 
 def test_training_validates_inputs():
     params = PredictorParams(epochs=1, learning_rate=0.1, mtl_lambda=0.0, input_edge=8)
-    with pytest.raises(ValueError):
-        train_regressor([], params, 0, block_size=2, block_count=1)
-    ex = TrainingExample(patch=np.zeros((8, 8)), label=np.zeros(3))
-    with pytest.raises(ValueError, match="label length"):
-        train_regressor([ex], params, 0, block_size=2, block_count=1)
+    with pytest.raises(ValueError, match="at least one"):
+        train_regressor([], np.zeros((0, 1, 2)), [], params, 0)
+    with pytest.raises(ValueError, match="same"):
+        train_regressor([np.zeros((8, 8))], np.zeros((1, 3)), [0], params, 0)
+    with pytest.raises(ValueError, match="same"):
+        train_regressor([np.zeros((8, 8))], np.zeros((2, 1, 3)), [0, 0], params, 0)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -159,10 +159,9 @@ def test_predictor_params_reject_bad_values(key, value):
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings stay silent
 def test_training_stops_at_the_first_non_finite_epoch(monkeypatch):
     rng = np.random.default_rng(10)
-    examples = [
-        TrainingExample(patch=rng.uniform(size=(8, 8)), label=rng.normal(size=8))
-        for _ in range(3)
-    ]
+    views = [(rng.uniform(size=(8, 8)), rng.normal(size=8)) for _ in range(3)]
+    patches = [patch for patch, _ in views]
+    codes = np.stack([label.reshape(2, 4) for _, label in views])
     batch_losses = []
 
     def counted(*args):
@@ -174,7 +173,7 @@ def test_training_stops_at_the_first_non_finite_epoch(monkeypatch):
     params = PredictorParams(epochs=50, learning_rate=1e6, mtl_lambda=0.0, hidden=8,
                              batch_size=2, input_edge=8)
     with pytest.raises(ValueError) as caught:
-        train_regressor(examples, params, 0, block_size=4, block_count=2)
+        train_regressor(patches, codes, [0] * 3, params, 0)
     # two batches per epoch; the epoch holding the first non-finite batch
     # loss is the last one run
     first_bad = next(i for i, loss in enumerate(batch_losses) if not np.isfinite(loss))
@@ -196,21 +195,20 @@ def test_predict_zero_weight_model_gives_zero_signal():
 
 
 def test_predict_shape_and_count_channel():
-    model = init_model(4, 6, 3, 2, mtl_lambda=0.5, seed=2)
     patch = np.random.default_rng(8).uniform(size=(4, 4))
-    y_hat, count = predict_with_count(model, patch)
-    assert y_hat.shape == (2, 3)
-    assert count is not None
+    model = init_model(4, 6, 3, 2, mtl_lambda=0.5, seed=2)
+    assert predict(model, patch).shape == (2, 3)
     no_count = init_model(4, 6, 3, 2, mtl_lambda=0.0, seed=2)
-    assert predict_with_count(no_count, patch)[1] is None
+    assert predict(no_count, patch).shape == (2, 3)
 
 
 def test_model_file_round_trip(tmp_path):
     rng = np.random.default_rng(9)
-    ex = TrainingExample(patch=rng.uniform(size=(8, 8)), label=rng.normal(size=9))
+    patch = rng.uniform(size=(8, 8))
+    label = rng.normal(size=9)
     params = PredictorParams(epochs=5, learning_rate=0.01, mtl_lambda=0.3, hidden=8,
                              batch_size=1, input_edge=8)
-    model, _ = train_regressor([ex], params, 4, block_size=4, block_count=2)
+    model, _ = train_regressor([patch], label[:-1].reshape(1, 2, 4), [label[-1] / 0.3], params, 4)
     path = tmp_path / "model.bin"
     save_model(model, path)
     loaded = load_model(path)
