@@ -82,21 +82,20 @@ def _write_diagnostics(results, out: Path) -> None:
     diag_dir = out / "diagnostics"
     diag_dir.mkdir(parents=True, exist_ok=True)
     for result in results:
-        rows = result.get("diagnostics")
-        if rows is None:
-            continue
         with open(diag_dir / f"{result['id']}_candidates.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
                 ["offset", "patch_x", "patch_y", "axis", "x", "y", "magnitude",
                  "iterations", "converged"]
             )
-            for row in rows:
-                writer.writerow(
-                    [row["offset"], row["patch_x"], row["patch_y"], row["axis"],
-                     fmt_float(row["x"]), fmt_float(row["y"]), fmt_float(row["magnitude"]),
-                     row["iterations"], int(row["converged"])]
-                )
+            for record in result["diagnostics"]:
+                columns = zip(record["votes"].tolist(), record["vote_axes"].tolist(),
+                              record["iterations"].tolist(), record["converged"].tolist())
+                for (x, y, magnitude), axis, iterations, converged in columns:
+                    writer.writerow(
+                        [record["offset"], *record["origin"], axis + 1, fmt_float(x),
+                         fmt_float(y), fmt_float(magnitude), iterations, int(converged)]
+                    )
 
 
 def cmd_synth(args) -> int:
@@ -128,11 +127,6 @@ def _detect_split(args, ensemble: bool) -> int:
         config = dataclasses.replace(
             config, predictor=dataclasses.replace(config.predictor, mode=args.mode)
         ).validate()
-    if not ensemble and args.diagnostics and config.encoder.scheme != 2:
-        raise ConfigError(
-            f"--diagnostics records the axis route's per-axis solves and needs "
-            f"encoder.scheme 2, got encoder.scheme {config.encoder.scheme}"
-        )
     codec = make_codec(config)
     if config.predictor.mode == "trained" and args.model is None:
         raise ConfigError("trained mode needs --model")
@@ -147,7 +141,6 @@ def _detect_split(args, ensemble: bool) -> int:
     if not images:
         raise ConfigError(f"{args.manifest}: empty test split")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if ensemble:
         results, _, failures = ensemble_detection(config, codec, images, model=model)
         summary = f"merged {len(config.patches.offsets)} offsets: "

@@ -3,7 +3,7 @@
 Each section is the frozen dataclass its stage reads and checks its own
 fields when built (RecoveryParams, DecodeParams, PredictorParams and
 SynthesisParams live with their stages); loading rejects non-integers in
-int keys, and validate() checks across sections.
+int keys and bools outside bool keys, and validate() checks across sections.
 
 The shipped defaults are a known-good operating point for 260x260 patches:
 112 measurements per axis, 27 axes, count-channel weight 0.20.
@@ -88,6 +88,9 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for key in ("seed", "matrix_seed"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -154,6 +157,10 @@ def _from_dict(doc: dict) -> PipelineConfig:
             optional = value is None and "None" in types[key]
             if types[key].startswith(("int", "tuple[int")) and not (integral or optional):
                 raise ConfigError(f"section '{name}': {key} must be integral, got {value!r}")
+            if types[key] == "bool" and not isinstance(value, bool):
+                raise ConfigError(f"section '{name}': {key} must be true or false, got {value!r}")
+            if types[key] != "bool" and any(isinstance(v, bool) for v in items):
+                raise ConfigError(f"section '{name}': {key} must not be true or false, got {value!r}")
         try:
             kwargs[name] = cls(**block)
         except (TypeError, ValueError) as exc:

@@ -225,6 +225,11 @@ def decode_scheme2(
     detections at the cluster mean. A non-converging axis is logged and
     decoded with its best iterate rather than aborting the others. A
     non-finite prediction is rejected before any solve.
+
+    diagnostics, when given, receives the decode's own arrays: the (L, N)
+    recovered "signals", the per-axis "iterations" and "converged", the
+    pooled (n, 3) "votes" before the noise filter and each vote's 0-based
+    axis in "vote_axes".
     """
     params = (params or DecodeParams()).resolved(layout)
     recovery = recovery or RecoveryParams()
@@ -259,11 +264,8 @@ def decode_scheme2(
         if support >= params.min_support
     )
     if diagnostics is not None:
-        diagnostics["axes"] = [
-            {"axis": i + 1, "signal": x[i],
-             "candidates": candidates[rows == i], "iterations": its, "converged": done}
-            for i, (its, done) in enumerate(zip(iterations.tolist(), converged.tolist()))
-        ]
+        diagnostics.update(signals=x, iterations=iterations, converged=converged,
+                           votes=candidates, vote_axes=rows)
     return DetectionResult(points=points)
 
 

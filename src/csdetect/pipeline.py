@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .core import (
     AnnotationSet,
     DetectionResult,
@@ -271,22 +271,13 @@ def _detect_image(
             raise ValueError(f"patch at {patch.origin}: {exc}") from exc
         detected = detected.translated(patch.origin[0], patch.origin[1])
         points.extend(detected.points)
-        if diag:
-            for record in diag["axes"]:
-                for x, y, magnitude in record["candidates"].tolist():
-                    diagnostics.append(
-                        {
-                            "offset": offset,
-                            "patch_x": patch.origin[0],
-                            "patch_y": patch.origin[1],
-                            "axis": record["axis"],
-                            "x": x + patch.origin[0],
-                            "y": y + patch.origin[1],
-                            "magnitude": magnitude,
-                            "iterations": record["iterations"],
-                            "converged": record["converged"],
-                        }
-                    )
+        if diag is not None:
+            votes, axes = diag["votes"], diag["vote_axes"]
+            votes[:, :2] += patch.origin
+            diagnostics.append(
+                {"offset": offset, "origin": patch.origin, "votes": votes, "vote_axes": axes,
+                 "iterations": diag["iterations"][axes], "converged": diag["converged"][axes]}
+            )
     return DetectionResult(points=tuple(points))
 
 
@@ -301,14 +292,18 @@ def run_detection(
     """Detect on every image at the tiling offset config.patches.offsets[offset_index].
 
     Returns (results, failures) where results is a list of per-image dicts
-    (id, detections, report, diagnostics rows) in input order and failures
-    counts images whose pipeline raised. collect_diagnostics records the
-    axis route's per-axis solves, so it raises ValueError on a scheme-1
-    codec.
+    (id, detections, report, diagnostics) in input order and failures
+    counts images whose pipeline raised. With collect_diagnostics, an
+    image's diagnostics is one record of arrays per patch: its offset, its
+    origin, its (n, 3) votes (x, y, |d|) in image coordinates before the
+    noise filter, and each vote's 0-based axis ("vote_axes") with that
+    axis's solver "iterations" and "converged" flag. Those are the axis
+    route's per-axis solves, so a scheme-1 codec raises ConfigError before
+    any image is decoded.
     """
     if collect_diagnostics and codec.scheme != 2:
-        raise ValueError(
-            f"collect_diagnostics records the axis route's per-axis solves and needs "
+        raise ConfigError(
+            f"diagnostics record the axis route's per-axis solves and need "
             f"encoder.scheme 2, got encoder.scheme {codec.scheme}"
         )
     offset = config.patches.offsets[offset_index]
@@ -316,16 +311,16 @@ def run_detection(
 
     def work(item):
         index, (image_id, image, annotations) = item
-        diag_rows = [] if collect_diagnostics else None
+        records = [] if collect_diagnostics else None
         detections = _detect_image(
-            config, codec, index, image, annotations, offset_index, offset, model, diag_rows
+            config, codec, index, image, annotations, offset_index, offset, model, records
         )
         report = match_detections(detections, annotations, rho)
         return {
             "id": image_id,
             "detections": detections,
             "report": report,
-            "diagnostics": diag_rows,
+            "diagnostics": records,
         }
 
     results = []

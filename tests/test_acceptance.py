@@ -85,8 +85,8 @@ def noise_sweep(axis_channel):
             reports.append(match_detections(det, ann, rho=6.0))
             err = 0.0
             f_true = axis_signals(ann, layout)
-            for record in diag["axes"]:
-                err += float(np.sum((record["signal"] - f_true[record["axis"] - 1]) ** 2))
+            for signal, truth in zip(diag["signals"], f_true, strict=True):
+                err += float(np.sum((signal - truth) ** 2))
             errors.append(err)
         f1[sigma] = aggregate_reports(reports)[2]
         recon[sigma] = float(np.median(errors))

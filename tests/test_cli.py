@@ -342,8 +342,19 @@ def test_cli_run_diagnostics(workspace, tmp_path, capsys):
     assert code == 0
     files = sorted((out / "diagnostics").iterdir())
     assert [p.name for p in files] == ["test_000_candidates.csv", "test_001_candidates.csv"]
-    header = files[0].read_text().splitlines()[0]
-    assert header == "offset,patch_x,patch_y,axis,x,y,magnitude,iterations,converged"
+    for path in files:
+        header, *rows = path.read_text().splitlines()
+        assert header == "offset,patch_x,patch_y,axis,x,y,magnitude,iterations,converged"
+        assert rows
+        for row in rows:
+            offset, px, py, axis, x, y, magnitude, iterations, converged = row.split(",")
+            # integers print as integers, never as 0.0, and floats round-trip
+            assert (offset, px, py) == ("0", "0", "0")
+            assert re.fullmatch(r"[1-6]", axis), row
+            assert re.fullmatch(r"0|[1-9][0-9]*", iterations), row
+            assert converged in ("0", "1"), row
+            for value in (x, y, magnitude):
+                assert repr(float(value)) == value, row
 
     # only the axis route records per-axis solves
     flat = _write_config(tmp_path / "flat.yaml", dict(SMALL, encoder=dict(SMALL["encoder"], scheme=1)))
@@ -354,7 +365,7 @@ def test_cli_run_diagnostics(workspace, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "encoder.scheme" in err
-    assert not (out / "diagnostics").exists()
+    assert not out.exists()
 
 
 def test_diagnostics_rows_match_a_per_axis_recomputation(workspace):
@@ -364,37 +375,38 @@ def test_diagnostics_rows_match_a_per_axis_recomputation(workspace):
     results, failures = run_detection(config, codec, images, collect_diagnostics=True)
     assert failures == 0
     for index, ((_, image, annotations), result) in enumerate(zip(images, results)):
-        expected = []
-        for patch_index, patch in enumerate(extract_patches(image, annotations, 32, (0, 0))):
+        expected, got = [], []
+        patches = extract_patches(image, annotations, 32, (0, 0))
+        for patch_index, (patch, record) in enumerate(zip(patches, result["diagnostics"], strict=True)):
             seed = derive_seed(config.run.seed, index, 0, patch_index, SALT_ORACLE)
             y_hat = oracle_predict(encode_patch(codec, patch.cells), config.predictor.sigma_rel, seed)
             diag = {}
             decode_signal(codec, y_hat, config, diagnostics=diag)
             px, py = patch.origin
-            for i, record in enumerate(diag["axes"]):
+            assert record["offset"] == 0 and record["origin"] == (px, py)
+            iterations, converged = diag["iterations"].tolist(), diag["converged"].tolist()
+            for i, signal in enumerate(diag["signals"]):
                 ox, oy, dx, dy, nx, ny = codec.layout.geometry[i].tolist()
-                bins = np.flatnonzero(record["signal"])
-                for r, d in zip((bins + 1).tolist(), record["signal"][bins].tolist()):
-                    expected.append({
-                        "offset": 0, "patch_x": px, "patch_y": py, "axis": i + 1,
-                        "x": ox + r * dx + d * nx + px, "y": oy + r * dy + d * ny + py,
-                        "magnitude": abs(d), "iterations": record["iterations"],
-                        "converged": record["converged"],
-                    })
+                bins = np.flatnonzero(signal)
+                for r, d in zip((bins + 1).tolist(), signal[bins].tolist()):
+                    expected.append((i, ox + r * dx + d * nx + px, oy + r * dy + d * ny + py,
+                                     abs(d), iterations[i], converged[i]))
+            got.extend(zip(record["vote_axes"].tolist(), *record["votes"].T.tolist(),
+                           record["iterations"].tolist(), record["converged"].tolist()))
         assert expected
-        assert result["diagnostics"] == expected
+        assert got == expected
 
 
 def test_run_detection_rejects_diagnostics_on_scheme1(workspace, tmp_path, monkeypatch):
-    # the library refuses up front, as the CLI does, instead of returning
-    # an empty list per image
+    # the library refuses up front, instead of returning an empty list per
+    # image; the CLI's exit 2 is this ConfigError
     flat = _write_config(tmp_path / "flat.yaml", dict(SMALL, encoder=dict(SMALL["encoder"], scheme=1)))
     config = load_config(flat)
     codec = make_codec(config)
     images = load_split(workspace["manifest"], "test")
     decoded = []
     monkeypatch.setattr("csdetect.pipeline._detect_image", lambda *args: decoded.append(args))
-    with pytest.raises(ValueError, match="encoder.scheme 2, got encoder.scheme 1"):
+    with pytest.raises(ConfigError, match="encoder.scheme 2, got encoder.scheme 1"):
         run_detection(config, codec, images, collect_diagnostics=True)
     assert decoded == []
 
@@ -494,6 +506,10 @@ def test_cli_exit_codes(workspace, tmp_path, capsys):
     ("predictor", "batch_size", 0),
     ("predictor", "epochs", 0),
     ("synth", "cell_count", [20, 5]),
+    ("evaluation", "macro", "false"),
+    ("evaluation", "rho", True),
+    ("decode", "merge_radius", True),
+    ("synth", "blob_radius", [True, 3.5]),
 ])
 def test_cli_bad_stage_value_is_a_config_error(workspace, tmp_path, capsys, section, key, value):
     doc = dict(SMALL, **{section: dict(SMALL[section], **{key: value})})
@@ -503,6 +519,7 @@ def test_cli_bad_stage_value_is_a_config_error(workspace, tmp_path, capsys, sect
                   "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+    assert "Traceback" not in err
     if isinstance(value, str):
         assert repr(value) in err
     assert not out.exists()  # rejected before any image was decoded
@@ -528,6 +545,20 @@ def test_cli_value_of_the_wrong_type_is_a_config_error(workspace, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith(f"config error: section '{section}': ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_negative_seed_is_a_config_error(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    for command in (["run", "--manifest", workspace["manifest"]], ["synth"]):
+        assert entry(command + ["--config", workspace["config"], "--seed", "-10000000",
+                                "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -10000000\n"
+    for key in ("seed", "matrix_seed"):
+        bad = _write_config(tmp_path / "bad.yaml", dict(SMALL, run=dict(SMALL["run"], **{key: -1})))
+        assert entry(["run", "--config", bad, "--manifest", workspace["manifest"],
+                      "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: section 'run': {key} must be >= 0, got -1\n"
     assert not out.exists()
 
 

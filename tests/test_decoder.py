@@ -395,25 +395,31 @@ def test_decode_scheme2_diagnostics_and_validation():
     y = encode_scheme2(ann, layout, phi)
     diag = {}
     decode_scheme2(y, layout, phi, diagnostics=diag)
-    assert list(diag) == ["axes"]
-    assert len(diag["axes"]) == 4
-    for record in diag["axes"]:
-        assert set(record) == {"axis", "signal", "candidates", "iterations", "converged"}
-        assert type(record["axis"]) is int
-        assert type(record["iterations"]) is int
-        assert type(record["converged"]) is bool
+    assert set(diag) == {"signals", "iterations", "converged", "votes", "vote_axes"}
+    assert diag["signals"].shape == (4, layout.bin_count)
+    assert diag["iterations"].shape == diag["converged"].shape == (4,)
+    assert diag["iterations"].dtype.kind == "i"
+    assert diag["converged"].dtype == bool
+    assert diag["votes"].shape == (diag["vote_axes"].size, 3)
+    assert diag["vote_axes"].dtype.kind == "i"
 
     wrong = encode_scheme2(ann, build_axis_layout(grid, 5), make_sensing_matrix(12, layout.bin_count, seed=3))
     with pytest.raises(ValueError):
         decode_scheme2(wrong, layout, phi)
 
 
-def _assert_votes_are_one_axis_backprojection(record, layout):
+def _assert_votes_are_one_axis_backprojection(diag, i, layout):
     # the one-pass back-projection of all axes gives each axis the votes,
     # to the bit, that back-projecting its own signal alone gives
-    alone = backproject_axis(record["signal"], layout, record["axis"] - 1)
-    assert record["candidates"].shape == alone.shape
-    assert record["candidates"].tobytes() == alone.tobytes()
+    alone = backproject_axis(diag["signals"][i], layout, i)
+    votes = diag["votes"][diag["vote_axes"] == i]
+    assert votes.shape == alone.shape
+    assert votes.tobytes() == alone.tobytes()
+
+
+def _assert_votes_in_axis_order(diag, count):
+    assert diag["signals"].shape[0] == count
+    assert np.all(np.diff(diag["vote_axes"]) >= 0)
 
 
 def test_decode_scheme2_bp_axes_match_one_axis_solves():
@@ -426,15 +432,15 @@ def test_decode_scheme2_bp_axes_match_one_axis_solves():
     y_hat = oracle_predict(encode_scheme2(ann, layout, phi), sigma_rel=0.05, seed=7)
     diag = {}
     decode_scheme2(y_hat, layout, phi, recovery=recovery, diagnostics=diag)
-    assert [record["axis"] for record in diag["axes"]] == list(range(1, 28))
-    for block, record in zip(y_hat, diag["axes"], strict=True):
+    _assert_votes_in_axis_order(diag, 27)
+    for i, (block, signal) in enumerate(zip(y_hat, diag["signals"], strict=True)):
         (row,), iterations, converged = bp_recover_rows(block[None], phi, recovery)
         assert np.array_equal(row, bp_recover(block, phi, recovery))
-        assert np.array_equal(np.flatnonzero(record["signal"]), np.flatnonzero(row))
-        np.testing.assert_allclose(record["signal"], row, rtol=1e-12, atol=0.0)
-        assert record["iterations"] == iterations[0]
-        assert record["converged"] == converged[0]
-        _assert_votes_are_one_axis_backprojection(record, layout)
+        assert np.array_equal(np.flatnonzero(signal), np.flatnonzero(row))
+        np.testing.assert_allclose(signal, row, rtol=1e-12, atol=0.0)
+        assert diag["iterations"][i] == iterations[0]
+        assert diag["converged"][i] == converged[0]
+        _assert_votes_are_one_axis_backprojection(diag, i, layout)
 
 
 def test_decode_scheme2_omp_axes_match_one_axis_solves():
@@ -447,15 +453,15 @@ def test_decode_scheme2_omp_axes_match_one_axis_solves():
     y_hat = oracle_predict(encode_scheme2(ann, layout, phi), sigma_rel=0.05, seed=8)
     diag = {}
     decode_scheme2(y_hat, layout, phi, recovery=recovery, diagnostics=diag)
-    assert [record["axis"] for record in diag["axes"]] == list(range(1, 28))
-    for block, record in zip(y_hat, diag["axes"], strict=True):
+    _assert_votes_in_axis_order(diag, 27)
+    for i, (block, signal) in enumerate(zip(y_hat, diag["signals"], strict=True)):
         (row,), iterations, converged = omp_recover_rows(block[None], phi, recovery)
         assert np.array_equal(row, omp_recover(block, phi, recovery))
-        assert np.array_equal(np.flatnonzero(record["signal"]), np.flatnonzero(row))
-        np.testing.assert_allclose(record["signal"], row, rtol=1e-12, atol=0.0)
-        assert record["iterations"] == iterations[0]
-        assert record["converged"] == converged[0]
-        _assert_votes_are_one_axis_backprojection(record, layout)
+        assert np.array_equal(np.flatnonzero(signal), np.flatnonzero(row))
+        np.testing.assert_allclose(signal, row, rtol=1e-12, atol=0.0)
+        assert diag["iterations"][i] == iterations[0]
+        assert diag["converged"][i] == converged[0]
+        _assert_votes_are_one_axis_backprojection(diag, i, layout)
 
 
 @pytest.mark.parametrize("solver", ["bp", "omp"])
