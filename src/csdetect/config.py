@@ -3,7 +3,8 @@
 Each section is the frozen dataclass its stage reads and checks its own
 fields when built (RecoveryParams, DecodeParams, PredictorParams and
 SynthesisParams live with their stages); loading rejects non-integers in
-int keys and bools outside bool keys, and validate() checks across sections.
+int keys, non-numbers in float keys and bools outside bool keys, and
+validate() checks across sections.
 
 The shipped defaults are a known-good operating point for 260x260 patches:
 112 measurements per axis, 27 axes, count-channel weight 0.20.
@@ -154,9 +155,12 @@ def _from_dict(doc: dict) -> PipelineConfig:
             if any(isinstance(v, float) and not math.isfinite(v) for v in items):
                 raise ConfigError(f"{name}.{key} must be finite, got {value}")
             integral = all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in items)
+            real = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)
             optional = value is None and "None" in types[key]
             if types[key].startswith(("int", "tuple[int")) and not (integral or optional):
                 raise ConfigError(f"section '{name}': {key} must be integral, got {value!r}")
+            if types[key].startswith(("float", "tuple[float")) and not (real or optional):
+                raise ConfigError(f"section '{name}': {key} must be a number, got {value!r}")
             if types[key] == "bool" and not isinstance(value, bool):
                 raise ConfigError(f"section '{name}': {key} must be true or false, got {value!r}")
             if types[key] != "bool" and any(isinstance(v, bool) for v in items):

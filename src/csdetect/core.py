@@ -21,7 +21,6 @@ __all__ = [
     "DetectedPoint",
     "DetectionResult",
     "round_half_up",
-    "to_dense_map",
     "save_annotations_csv",
     "load_annotations_csv",
     "save_detections_csv",
@@ -104,20 +103,6 @@ class AnnotationSet:
         if not self.cells:
             return np.zeros((0, 2))
         return np.asarray(self.cells, dtype=np.float64)
-
-
-def to_dense_map(annotations: AnnotationSet) -> np.ndarray:
-    """Binary annotation map, shape (height, width), 1 at rounded centroids.
-
-    Row index is y-1, column index is x-1.
-    """
-    grid = annotations.grid
-    dense = np.zeros((grid.height, grid.width), dtype=np.uint8)
-    for x, y in annotations.cells:
-        px = min(max(round_half_up(x), 1), grid.width)
-        py = min(max(round_half_up(y), 1), grid.height)
-        dense[py - 1, px - 1] = 1
-    return dense
 
 
 def save_annotations_csv(annotations: AnnotationSet, path) -> None:

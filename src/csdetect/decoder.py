@@ -45,6 +45,9 @@ log = logging.getLogger(__name__)
 
 _SHIFT_TOL = 1e-3
 _SHIFT_MAX_ITER = 100
+# least trajectories in a chunk of a windowed mean-shift step: below two
+# chunks' worth, a window's set-up costs more than the pairs it skips
+_SHIFT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -148,42 +151,82 @@ def filter_noise_candidates(candidates: np.ndarray, grid: ImageGrid, noise_margi
     return candidates[keep]
 
 
+def _shift(window: np.ndarray, p: np.ndarray, bw2: float) -> np.ndarray:
+    """One flat-kernel step of the trajectories at p: the mean of the
+    window's candidates within the bandwidth of each, NaN where none is."""
+    d2 = window[:, 0:1] - p[:, 0]  # (window candidates, trajectories)
+    d2 *= d2
+    dy2 = window[:, 1:2] - p[:, 1]
+    dy2 *= dy2
+    d2 += dy2
+    near = d2 <= bw2
+    # Summing down axis 0 adds the window's candidates one at a time in
+    # candidate order, as pts[near].mean(axis=0) does for one trajectory; a
+    # candidate outside the kernel adds an exact 0.0. The x/y axis keeps the
+    # sum sequential for a single trajectory too: numpy sums an (n, 1)
+    # column pairwise.
+    sums = (near[:, None, :] * window[:, :, None]).sum(axis=0)  # (2, trajectories)
+    return (sums / near.sum(axis=0)).T
+
+
 def meanshift_cluster(candidates: np.ndarray, bandwidth: float):
     """Flat-kernel mean shift over candidate positions, the first two
-    columns of an (n, 2+) array.
+    columns of an (n, 2+) array of finite values.
 
     Every candidate iterates to the mean of its bandwidth-neighbors among
     the original positions until it moves less than 1e-3 px. Trajectories
-    never see each other, so all of them advance together, one array step
-    per iteration, and each drops out once it has converged. Modes form
-    clusters greedily in candidate order: each mode joins the first earlier
-    cluster whose founding mode lies within bandwidth/2, or founds a new
-    one. Returns [(mean point, support)] where the mean is over the
-    original (unshifted) member positions and support is the member count.
+    never see each other, so all of them advance together and each drops
+    out once it has converged. A step sorts the active trajectories by x
+    and cuts them into equal chunks of at least _SHIFT_CHUNK; a chunk is
+    measured only against the window of candidates whose x lies within its
+    x-extent widened by slightly more than the bandwidth. With fewer than
+    two chunks' worth of active trajectories, the step measures them all
+    against all candidates. A window holds every neighbor of its chunk's
+    trajectories and is summed in candidate order, and a candidate outside
+    the kernel adds an exact 0.0 to that sum, so the modes are
+    bit-identical to shifting one candidate at a time against all of them.
+
+    Modes form clusters greedily in candidate order: each mode joins the
+    first earlier cluster whose founding mode lies within bandwidth/2, or
+    founds a new one. Returns [(mean point, support)] where the mean is
+    over the original (unshifted) member positions and support is the
+    member count.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be > 0")
     if not len(candidates):
         return []
     pts = np.array(candidates[:, :2], dtype=np.float64)
+    if not np.isfinite(pts).all():
+        raise ValueError("candidate coordinates must be finite")
     modes = pts.copy()
     active = np.arange(len(pts))
     bw2 = bandwidth * bandwidth
+    if len(pts) >= 2 * _SHIFT_CHUNK:
+        by_x = np.argsort(pts[:, 0])
+        sorted_x = pts[by_x, 0]
+        # wider than any x-offset that d2 <= bw2 accepts, rounding included
+        reach = bandwidth + 1e-9 * (bandwidth + max(-sorted_x[0], sorted_x[-1]))
     for _ in range(_SHIFT_MAX_ITER):
         if not active.size:
             break
         p = modes[active]
-        d2 = pts[:, 0:1] - p[:, 0]  # (points, active trajectories)
-        d2 *= d2
-        dy2 = pts[:, 1:2] - p[:, 1]
-        dy2 *= dy2
-        d2 += dy2
-        near = d2 <= bw2
-        # Summing down axis 0 adds the neighbors one at a time in candidate
-        # order, as pts[near].mean(axis=0) does for a single trajectory, so
-        # the modes are bit-identical to shifting one candidate at a time.
-        sums = (near[:, None, :] * pts[:, :, None]).sum(axis=0)  # (2, active)
-        shifted = (sums / near.sum(axis=0)).T
+        chunks = active.size // _SHIFT_CHUNK
+        if chunks < 2:
+            shifted = _shift(pts, p, bw2)
+        else:
+            order = np.argsort(p[:, 0])
+            active, p = active[order], p[order]
+            cuts = np.arange(chunks + 1) * active.size // chunks
+            # p is x-sorted with NaN modes last: a chunk's first mode is its
+            # least x (NaN only in an all-NaN chunk, whose window is empty)
+            # and its last mode its greatest (NaN runs the window to the end)
+            lo = np.searchsorted(sorted_x, p[cuts[:-1], 0] - reach)
+            hi = np.searchsorted(sorted_x, p[cuts[1:] - 1, 0] + reach, side="right")
+            shifted = np.concatenate([
+                _shift(pts[np.sort(by_x[a:b])], p[c:d], bw2)
+                for a, b, c, d in zip(lo, hi, cuts, cuts[1:])
+            ])
         moved = np.hypot(shifted[:, 0] - p[:, 0], shifted[:, 1] - p[:, 1])
         modes[active] = shifted
         active = active[~(moved < _SHIFT_TOL)]

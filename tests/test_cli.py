@@ -532,6 +532,7 @@ def test_cli_bad_stage_value_is_a_config_error(workspace, tmp_path, capsys, sect
     ("run", "workers", "x"),
     ("patches", "size", "x"),
     ("evaluation", "rho", "x"),
+    ("decode", "bandwidth", "x"),
     ("synth", "image_width", "x"),
     ("run", "seed", "x"),
 ])
@@ -544,6 +545,7 @@ def test_cli_value_of_the_wrong_type_is_a_config_error(workspace, tmp_path, caps
                   "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: section '{section}': ")
+    assert key in err
     assert "Traceback" not in err
     assert not out.exists()
 

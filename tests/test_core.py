@@ -14,7 +14,6 @@ from csdetect.core import (
     round_half_up,
     save_annotations_csv,
     save_detections_csv,
-    to_dense_map,
 )
 
 
@@ -67,21 +66,6 @@ def test_annotations_coords_shape():
     ann = AnnotationSet(grid=grid, cells=((2.0, 3.0), (5.5, 6.5)))
     assert ann.coords().shape == (2, 2)
     assert np.allclose(ann.coords()[1], (5.5, 6.5))
-
-
-def test_to_dense_map_single_point():
-    grid = ImageGrid(width=4, height=4)
-    dense = to_dense_map(AnnotationSet(grid=grid, cells=((2.0, 3.0),)))
-    assert dense.shape == (4, 4)
-    assert dense.sum() == 1
-    assert dense[2, 1] == 1  # row y-1, column x-1
-
-
-def test_to_dense_map_empty_and_cardinality():
-    grid = ImageGrid(width=4, height=4)
-    assert to_dense_map(AnnotationSet(grid=grid)).sum() == 0
-    two = AnnotationSet(grid=grid, cells=((1.2, 1.2), (4.0, 4.0)))
-    assert to_dense_map(two).sum() == 2
 
 
 def test_annotations_csv_round_trip(tmp_path):

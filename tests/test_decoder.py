@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from csdetect import recovery
+from csdetect import decoder, recovery
 from csdetect.core import AnnotationSet, DetectionResult, ImageGrid
 from csdetect.decoder import (
     DecodeParams,
@@ -325,6 +325,125 @@ _coordinate = st.one_of(
 )
 def test_meanshift_matches_one_at_a_time_property(xy, bandwidth):
     _assert_same_clusters(xy, bandwidth)
+
+
+CHUNK = decoder._SHIFT_CHUNK
+_SHIFT = decoder._shift
+
+
+def _assert_same_clusters_in_chunks(xy, bandwidth, monkeypatch):
+    """_assert_same_clusters, checking that the first mean-shift step cut the
+    trajectories into len(xy) // CHUNK chunks and that every step against a
+    window of the votes is bit-identical to the step against all of them."""
+    pts = _candidates(xy)[:, :2]
+    calls = []
+
+    def spy(window, p, bw2):
+        calls.append((len(window), len(p)))
+        shifted = _SHIFT(window, p, bw2)
+        assert np.array_equal(shifted, _SHIFT(pts, p, bw2), equal_nan=True)
+        return shifted
+
+    monkeypatch.setattr(decoder, "_shift", spy)
+    _assert_same_clusters(xy, bandwidth)
+    chunks = len(xy) // CHUNK
+    assert chunks >= 2
+    assert sum(k for _, k in calls[:chunks]) == len(xy)
+    return calls[:chunks]
+
+
+@pytest.mark.parametrize("n", [150, 3 * CHUNK, 329, 450, 600])
+def test_meanshift_in_chunks_matches_one_at_a_time_on_decode_like_sets(n, monkeypatch):
+    # the oracle-bp operating point: 27 votes per cell around 5-20 cells in
+    # a 260-px patch, the rest scattered, bandwidth 9.19
+    rng = np.random.default_rng(n)
+    cells = rng.uniform(15, 245, size=(int(rng.integers(5, 21)), 2))
+    near = cells[rng.integers(0, len(cells), size=n - n // 4)] + rng.normal(0, 1.5, size=(n - n // 4, 2))
+    xy = rng.permutation(np.vstack([near, rng.uniform(-13, 273, size=(n // 4, 2))]))
+    first = _assert_same_clusters_in_chunks(xy, 9.19238815542512, monkeypatch)
+    assert min(w for w, _ in first) < n  # a window left votes out
+
+
+@pytest.mark.parametrize("bandwidth", [4.0, 0.5, 9.19238815542512, 0.1])
+def test_meanshift_in_chunks_matches_one_at_a_time_on_a_bandwidth_lattice(bandwidth, monkeypatch):
+    # every neighbor sits on the kernel edge, and for the inexact spacings
+    # rounding puts some just inside and some just outside it
+    xs, ys = np.meshgrid(np.arange(16) * bandwidth, np.arange(14) * bandwidth)
+    lattice = np.column_stack([xs.ravel(), ys.ravel()])
+    assert len(lattice) >= 3 * CHUNK
+    _assert_same_clusters_in_chunks(lattice, bandwidth, monkeypatch)
+    _assert_same_clusters_in_chunks(lattice[::-1], bandwidth, monkeypatch)
+    _assert_same_clusters_in_chunks(np.random.default_rng(1).permutation(lattice), bandwidth, monkeypatch)
+
+
+def test_meanshift_in_chunks_matches_one_at_a_time_on_duplicates_across_chunk_edges(monkeypatch):
+    rng = np.random.default_rng(11)
+    # runs of 7 equal votes: sorted by x, the cuts between the chunks fall
+    # inside runs, so equal trajectories sit in different chunks
+    base = rng.uniform(0, 120, size=(31, 2))
+    runs = np.repeat(base, 7, axis=0)
+    chunks = len(runs) // CHUNK
+    assert chunks >= 3 and all(len(runs) * i // chunks % 7 for i in range(1, chunks))
+    _assert_same_clusters_in_chunks(runs, 3.0, monkeypatch)
+    _assert_same_clusters_in_chunks(rng.permutation(runs), 3.0, monkeypatch)
+    # equal x everywhere: every chunk has the same x-extent
+    column = np.column_stack([np.full(3 * CHUNK + 5, 5.0), rng.integers(0, 40, size=3 * CHUNK + 5)])
+    _assert_same_clusters_in_chunks(column, 2.0, monkeypatch)
+    _assert_same_clusters_in_chunks(np.zeros((3 * CHUNK, 2)), 0.5, monkeypatch)
+
+
+def test_meanshift_in_chunks_keeps_a_neighbor_that_rounding_puts_on_the_kernel_edge(monkeypatch):
+    # b lies below a - bandwidth as computed in floats, yet the kernel
+    # rounds its distance to a down to the bandwidth and counts it; a
+    # window cut at exactly a - bandwidth would drop it
+    bandwidth, a, b = 9.19238815542512, 9.988764849941848, 0.7963766945167289
+    assert b < a - bandwidth and (a - b) ** 2 <= bandwidth * bandwidth
+    left = [(b - 100.0 - i, 0.0) for i in range(CHUNK - 1)]
+    right = [(a + 100.0 + i, 0.0) for i in range(CHUNK - 1)]
+    xy = left + [(b, 0.0), (a, 0.0)] + right
+    _assert_same_clusters_in_chunks(xy, bandwidth, monkeypatch)
+    assert ((0.5 * (a + b), 0.0), 2) in meanshift_cluster(_candidates(xy), bandwidth)
+
+
+def test_meanshift_in_chunks_steps_nan_modes_as_against_all_votes(monkeypatch):
+    # A mode with no neighbor is NaN and stays active. Turn the first step
+    # of a third of the trajectories NaN (more than a chunk's worth, so one
+    # later chunk is all NaN) and run the windowed and the all-votes step
+    # side by side: every windowed step must equal the all-votes step.
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0, 200, size=(5 * CHUNK, 2))
+    lost = {tuple(v) for v in pts[::3]}
+    windows = []
+
+    def spy(window, p, bw2):
+        windows.append(len(window))
+        shifted = _SHIFT(window, p, bw2)
+        assert np.array_equal(shifted, _SHIFT(pts, p, bw2), equal_nan=True)
+        shifted[[tuple(v) in lost for v in p]] = np.nan
+        return shifted
+
+    monkeypatch.setattr(decoder, "_shift", spy)
+    with np.errstate(invalid="ignore"):
+        got = meanshift_cluster(_candidates(pts), 9.19238815542512)
+        monkeypatch.setattr(decoder, "_SHIFT_CHUNK", len(pts))
+        assert meanshift_cluster(_candidates(pts), 9.19238815542512) == got
+    assert 0 in windows  # an all-NaN chunk
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    xy=st.lists(st.tuples(_coordinate, _coordinate), min_size=2 * CHUNK, max_size=3 * CHUNK + 20),
+    bandwidth=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0]), st.floats(0.1, 30.0)),
+)
+def test_meanshift_in_chunks_matches_one_at_a_time_property(xy, bandwidth):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_same_clusters_in_chunks(xy, bandwidth, monkeypatch)
+
+
+def test_meanshift_rejects_non_finite_candidates():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            meanshift_cluster(_candidates([(1.0, 2.0), (3.0, bad)]), bandwidth=2.0)
 
 
 def test_decode_params_resolution():

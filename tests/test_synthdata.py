@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from csdetect.core import AnnotationSet, ImageGrid, round_half_up, to_dense_map
+from csdetect.core import AnnotationSet, ImageGrid, round_half_up
 from csdetect.synthdata import (
     SynthesisParams,
     extract_patches,
@@ -129,12 +129,24 @@ def test_rotation_identity_and_corners():
     assert (8.0, 8.0) in views[2][1].cells
 
 
+def _dense_map(annotations):
+    """Binary (height, width) map, 1 at each rounded centroid: row y-1,
+    column x-1."""
+    grid = annotations.grid
+    dense = np.zeros((grid.height, grid.width), dtype=np.uint8)
+    for x, y in annotations.cells:
+        px = min(max(round_half_up(x), 1), grid.width)
+        py = min(max(round_half_up(y), 1), grid.height)
+        dense[py - 1, px - 1] = 1
+    return dense
+
+
 def test_rotation_moves_cells_with_the_pixels():
     grid = ImageGrid(9, 9)
     ann = AnnotationSet(grid=grid, cells=((2.0, 5.0), (7.0, 3.0)))
-    delta = to_dense_map(ann).astype(float)
+    delta = _dense_map(ann).astype(float)
     for pixels, cells in rotate_augment(delta, ann):
-        assert np.array_equal(pixels, to_dense_map(cells))
+        assert np.array_equal(pixels, _dense_map(cells))
 
 
 def test_four_rotations_compose_to_identity():
