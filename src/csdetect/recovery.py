@@ -114,12 +114,13 @@ def _one_row(solve_rows, y: np.ndarray, phi: SensingMatrix, *args) -> np.ndarray
 
 
 def _stack(ys: np.ndarray, m: int):
-    """A validated (rows, m) measurement stack and each row's norm, taken
-    one row at a time as a row solved alone gets it."""
+    """A validated (rows, m) measurement stack and each row's norm. Each
+    norm is its own row-by-row dot product, the sum np.linalg.norm takes
+    of a row alone, so a row's norm does not depend on its stack."""
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[1] != m:
         raise ValueError(f"measurement stack {ys.shape} does not have {m} columns")
-    return ys, np.array([np.linalg.norm(y) for y in ys])
+    return ys, np.sqrt((ys[:, None, :] @ ys[:, :, None])[:, 0, 0])
 
 
 def omp_recover(
@@ -221,10 +222,6 @@ def omp_recover_rows(
     return x, iterations, converged
 
 
-def _soft(v: np.ndarray, t) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
 def lasso_shrinkage(
     ys: np.ndarray,
     a: np.ndarray,
@@ -236,48 +233,84 @@ def lasso_shrinkage(
     """Monotone accelerated proximal gradient for the fixed-lambda lasso
     0.5 ||y - Ax||^2 + lam ||x||_1, on a stack of measurement vectors.
 
-    ys is (rows, M) with one problem per row, and lam is a scalar or one
-    value per row. All rows share the step and the momentum sequence; each
-    row takes the acceleration candidate only when it does not raise that
+    ys is (rows, M) with one problem per row, and lam is a finite value
+    >= 0, as a scalar or one per row; step must be > 0 and x0, when given,
+    (rows, N). All rows share the step and the momentum sequence; each row
+    takes the acceleration candidate only when it does not raise that
     row's objective, which preserves the plain-ISTA descent guarantee.
 
+    Each elementwise pass of an iteration runs once, in place on buffers
+    the iteration owns: the soft threshold is copysign(max(|u| - step lam,
+    0), u), the L1 term sums that clipped magnitude, and when every row
+    accepts, the momentum skips its (w - x_next) term, which is exactly 0.
+    Each entry still gets the arithmetic of the formula-by-formula
+    iteration (sign(u) max(|u| - step lam, 0), a second abs for the
+    objective, the three-term momentum), so the iterates are == to its
+    iterates; only the sign of a zero entry can differ.
+
     Returns x, (rows, N). Every row's objective is non-increasing from one
-    iterate to the next.
+    iterate to the next. Neither ys, lam nor x0 is written to.
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 2:
         raise ValueError(f"measurement stack {ys.shape} is not 2-D")
     rows, n = ys.shape[0], a.shape[1]
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (rows,))
-    x = np.zeros((rows, n)) if x0 is None else np.array(x0, dtype=np.float64).reshape(rows, n)
+    valid = np.isfinite(lam) & (lam >= 0)
+    if not valid.all():
+        raise ValueError(f"lam must be finite and >= 0, got {lam[~valid][0]}")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if x0 is None:
+        x = np.zeros((rows, n))
+    else:
+        x = np.array(x0, dtype=np.float64)
+        if x.shape != (rows, n):
+            raise ValueError(f"x0 {x.shape} is not ({rows}, {n})")
     ax = x @ a.T
-    x_prev, ax_prev = x, ax
     threshold = (step * lam)[:, None]
-
-    def objective(v, av):
-        r = ys - av
-        return 0.5 * np.sum(r * r, axis=1) + lam * np.sum(np.abs(v), axis=1)
-
-    obj = objective(x, ax)
+    r = ys - ax  # the (rows, M) residual buffer
+    r *= r
+    obj = 0.5 * np.add.reduce(r, axis=1) + lam * np.add.reduce(np.abs(x), axis=1)
+    x_prev, ax_prev = x, ax
+    z, az = x.copy(), ax.copy()  # the momentum point, rewritten in place
     t = 1.0
-    z, az = x, ax
     for _ in range(iterations):
-        grad = (az - ys) @ a
-        w = _soft(z - step * grad, threshold)
+        np.subtract(az, ys, out=r)
+        w = r @ a  # the gradient, then u = z - step grad, then w in place
+        w *= step
+        np.subtract(z, w, out=w)
+        mag = np.abs(w)
+        mag -= threshold
+        np.maximum(mag, 0.0, out=mag)  # |w| once w is thresholded
+        np.copysign(mag, w, out=w)
         aw = w @ a.T
-        obj_w = objective(w, aw)
+        np.subtract(ys, aw, out=r)
+        r *= r
+        obj_w = 0.5 * np.add.reduce(r, axis=1) + lam * np.add.reduce(mag, axis=1)
         accept = obj_w <= obj
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        c_w, c_prev = t / t_next, (t - 1.0) / t_next
+        # momentum on the accepted iterate; all products are cached combos
         if accept.all():
             x_next, ax_next, obj = w, aw, obj_w
+            # (w - x_next) is exactly 0: z = x_next + c_prev (x_next - x_prev)
+            for v, v_next, v_prev in ((z, w, x_prev), (az, aw, ax_prev)):
+                np.subtract(v_next, v_prev, out=v)
+                v *= c_prev
+                v += v_next
         else:
             rowwise = accept[:, None]
             x_next = np.where(rowwise, w, x)
             ax_next = np.where(rowwise, aw, ax)
             obj = np.where(accept, obj_w, obj)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        # momentum on the accepted iterate; all products are cached combos
-        z = x_next + (t / t_next) * (w - x_next) + ((t - 1.0) / t_next) * (x_next - x_prev)
-        az = ax_next + (t / t_next) * (aw - ax_next) + ((t - 1.0) / t_next) * (ax_next - ax_prev)
+            for v, v_new, v_next, v_prev in ((z, w, x_next, x_prev), (az, aw, ax_next, ax_prev)):
+                np.subtract(v_new, v_next, out=v)
+                v *= c_w
+                v += v_next
+                np.subtract(v_next, v_prev, out=v_new)
+                v_new *= c_prev
+                v += v_new
         x_prev, ax_prev = x, ax
         x, ax = x_next, ax_next
         t = t_next
@@ -355,9 +388,9 @@ def bp_recover_rows(
     iterations = np.zeros(rows, dtype=np.int64)
     converged = norm_y == 0.0
     eps = max(params.noise_budget_frac, _EQUALITY_FLOOR) * norm_y
-    # one product per row, so a row's lambda path does not depend on the
-    # rows stacked with it
-    lam = np.array([0.25 * float(np.max(np.abs(a.T @ y))) for y in ys])
+    # one matrix-vector product per row, so a row's lambda path does not
+    # depend on the rows stacked with it
+    lam = 0.25 * np.max(np.abs((a.T @ ys[:, :, None])[:, :, 0]), axis=1)
     lam_floor = np.where(lam > 0, 1e-12 * lam, 1.0)
     active = np.flatnonzero(~converged)
     y_act, lam_act = ys[active], lam[active]

@@ -1,13 +1,17 @@
 """Sparse recovery: greedy pursuit, shrinkage-based basis pursuit."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import csdetect.recovery as recovery
 from csdetect.recovery import (
     RecoveryParams,
     _refit_rows,
+    _stack,
     bp_recover,
     bp_recover_rows,
     default_max_sparsity,
@@ -317,6 +321,150 @@ def test_lasso_huge_lambda_yields_zero():
     lam = 10.0 * float(np.max(np.abs(a.T @ y)))
     x = lasso_shrinkage(y[None, :], a, lam=lam, step=1.0 / operator_norm_sq(a), iterations=50)
     assert np.allclose(x, 0.0)
+
+
+def _lasso_formula_by_formula(ys, a, lam, step, iterations, x0=None):
+    """lasso_shrinkage's iteration written one formula at a time, each with
+    its own temporaries: the soft threshold sign(u) max(|u| - step lam, 0),
+    the objective with its own abs, and the three-term momentum in both
+    branches. Returns the iterate and, per iteration, whether every row
+    took the acceleration candidate."""
+    rows, n = ys.shape[0], a.shape[1]
+    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (rows,))
+    x = np.zeros((rows, n)) if x0 is None else np.array(x0, dtype=np.float64)
+    ax = x @ a.T
+    x_prev, ax_prev = x, ax
+    threshold = (step * lam)[:, None]
+
+    def objective(v, av):
+        r = ys - av
+        return 0.5 * np.sum(r * r, axis=1) + lam * np.sum(np.abs(v), axis=1)
+
+    obj = objective(x, ax)
+    t = 1.0
+    z, az = x, ax
+    all_accepted = []
+    for _ in range(iterations):
+        grad = (az - ys) @ a
+        u = z - step * grad
+        w = np.sign(u) * np.maximum(np.abs(u) - threshold, 0.0)
+        aw = w @ a.T
+        obj_w = objective(w, aw)
+        accept = obj_w <= obj
+        all_accepted.append(bool(accept.all()))
+        if accept.all():
+            x_next, ax_next, obj = w, aw, obj_w
+        else:
+            rowwise = accept[:, None]
+            x_next = np.where(rowwise, w, x)
+            ax_next = np.where(rowwise, aw, ax)
+            obj = np.where(accept, obj_w, obj)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        z = x_next + (t / t_next) * (w - x_next) + ((t - 1.0) / t_next) * (x_next - x_prev)
+        az = ax_next + (t / t_next) * (aw - ax_next) + ((t - 1.0) / t_next) * (ax_next - ax_prev)
+        x_prev, ax_prev = x, ax
+        x, ax = x_next, ax_next
+        t = t_next
+    return x, all_accepted
+
+
+def _lasso_stacks():
+    """(ys, a, lam, x0) cases: the shipped 112x368 matrix and a small one;
+    lam mixes 0, moderate and huge values, so some iterations have rows
+    that reject the acceleration candidate and some have none; x0 is
+    absent, a shrinkage iterate, or random; and a 1-row stack."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for a in (make_sensing_matrix(112, 368, seed=1234).entries, rng.normal(size=(30, 80))):
+        m, n = a.shape
+        xs = _supports(n, [0, 1, 3, 6, 12, 25, 40, 3, 6], rng)
+        ys = xs @ a.T + 0.05 * rng.normal(size=(len(xs), m))
+        top = np.max(np.abs(ys @ a), axis=1)
+        lam = top * np.array([0.0, 0.25, 0.05, 0.01, 0.25, 5.0, 0.002, 1e-6, 0.05])
+        warm = _lasso_formula_by_formula(ys, a, lam, 1.0 / operator_norm_sq(a), 25)[0]
+        for x0 in (None, warm, rng.normal(size=(len(xs), n))):
+            cases.append((ys, a, lam, x0))
+        cases += [(ys[3:4], a, lam[3], None), (ys[3:4], a, lam[3], warm[3:4])]
+    return cases
+
+
+def test_lasso_matches_the_formula_by_formula_iteration():
+    branches = set()
+    for ys, a, lam, x0 in _lasso_stacks():
+        step = 1.0 / operator_norm_sq(a)
+        for iterations in (0, 1, 2, 60):
+            expected, all_accepted = _lasso_formula_by_formula(ys, a, lam, step, iterations, x0)
+            assert np.array_equal(lasso_shrinkage(ys, a, lam, step, iterations, x0=x0), expected)
+            branches.update(all_accepted)
+    # both momentum branches ran: every row accepted, and some rejected
+    assert branches == {True, False}
+
+
+def test_solvers_do_not_write_their_inputs():
+    phi = make_sensing_matrix(40, 128, seed=21)
+    ys = _mixed_stack(phi, np.random.default_rng(42))
+    lam = 0.05 * np.max(np.abs(ys @ phi.entries), axis=1)
+    x0 = np.random.default_rng(43).normal(size=(len(ys), 128))
+    saved = [v.copy() for v in (ys, lam, x0)]
+    for v in (ys, lam, x0):
+        v.flags.writeable = False  # a write into an input raises
+    step = 1.0 / phi.norm_sq
+    for iterations in (0, 30):
+        x = lasso_shrinkage(ys, phi.entries, lam, step, iterations, x0=x0)
+        assert not np.shares_memory(x, x0)
+        x[:] = 1.0  # the result is the caller's to change
+    for solve in (bp_recover_rows, omp_recover_rows):
+        x, _, _ = solve(ys, phi, RecoveryParams(noise_budget_frac=0.05))
+        assert not np.shares_memory(x, ys)
+    for v, before in zip((ys, lam, x0), saved):
+        assert np.array_equal(v, before)
+
+
+def test_stack_norms_and_starting_lambda_match_per_row_forms(monkeypatch):
+    # each row's norm and its starting lambda, 0.25 ||A^T y||_inf, are the
+    # ones the row gets alone, on stacks with an all-zero row
+    first_lams = []
+
+    def record(ys, a, lam, *args, **kwargs):
+        if not first_lams:
+            first_lams.append(np.array(lam))
+        return lasso_shrinkage(ys, a, lam, *args, **kwargs)
+
+    monkeypatch.setattr(recovery, "lasso_shrinkage", record)
+    rng = np.random.default_rng(44)
+    for m, n, rows in ((112, 368, 27), (40, 128, 9), (13, 50, 2), (200, 600, 5)):
+        phi = make_sensing_matrix(m, n, seed=m)
+        ys = rng.normal(size=(rows, m)) * rng.choice([1e-6, 1.0, 1e6], size=(rows, 1))
+        ys[rows // 2] = 0.0
+        _, norms = _stack(ys, m)
+        assert np.array_equal(norms, [np.linalg.norm(y) for y in ys])
+        first_lams.clear()
+        bp_recover_rows(ys, phi, RecoveryParams(max_iterations=1))
+        live = np.flatnonzero(norms > 0)
+        assert np.array_equal(first_lams[0], [0.25 * float(np.max(np.abs(phi.entries.T @ ys[i]))) for i in live])
+
+
+def test_lasso_rejects_bad_arguments():
+    rng = np.random.default_rng(45)
+    a = rng.normal(size=(20, 50))
+    ys = rng.normal(size=(3, 20))
+    step = 1.0 / operator_norm_sq(a)
+    for lam, message in (
+        (-1.0, "lam"),
+        (np.array([0.1, -1e-12, 0.1]), "lam"),
+        (np.nan, "lam"),
+        (np.array([0.1, np.inf, 0.1]), "lam"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            lasso_shrinkage(ys, a, lam, step, 5)
+    for bad_step in (0.0, -step, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step"):
+            lasso_shrinkage(ys, a, 0.1, bad_step, 5)
+    for x0 in (np.zeros((50, 3)), np.zeros(150), np.zeros((3, 49)), np.zeros((1, 50))):
+        with pytest.raises(ValueError, match="x0"):
+            lasso_shrinkage(ys, a, 0.1, step, 5, x0=x0)
+    # lam 0 is least squares by shrinkage, and allowed
+    assert lasso_shrinkage(ys, a, 0.0, step, 5).shape == (3, 50)
 
 
 def test_bp_matches_omp_on_single_column():
