@@ -47,12 +47,8 @@ def _parse_offset(token: str) -> int:
 
 def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
     try:
-        run = config.run
         if args.seed is not None:
-            run = dataclasses.replace(run, seed=args.seed)
-        if getattr(args, "workers", None) is not None:
-            run = dataclasses.replace(run, workers=args.workers)
-        config = dataclasses.replace(config, run=run)
+            config = dataclasses.replace(config, run=dataclasses.replace(config.run, seed=args.seed))
         if getattr(args, "offsets", None) is not None:
             offsets = tuple(_parse_offset(tok) for tok in args.offsets.split(",") if tok != "")
             config = dataclasses.replace(
@@ -202,7 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     detect = argparse.ArgumentParser(add_help=False, parents=[common])
     detect.add_argument("--manifest", required=True)
     detect.add_argument("--out", required=True)
-    detect.add_argument("--workers", type=int, default=None, help="override run.workers")
     detect.add_argument("--offsets", default=None, help="override patch offsets, e.g. 0,20,40")
     detect.add_argument("--mode", choices=("oracle", "trained"), default=None)
     detect.add_argument("--model", default=None, help="model file for trained mode")

@@ -9,7 +9,6 @@ only need to keep distinct work items on distinct streams.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -293,13 +292,15 @@ def run_detection(
 
     Returns (results, failures) where results is a list of per-image dicts
     (id, detections, report, diagnostics) in input order and failures
-    counts images whose pipeline raised. With collect_diagnostics, an
-    image's diagnostics is one record of arrays per patch: its offset, its
-    origin, its (n, 3) votes (x, y, |d|) in image coordinates before the
-    noise filter, and each vote's 0-based axis ("vote_axes") with that
-    axis's solver "iterations" and "converged" flag. Those are the axis
-    route's per-axis solves, so a scheme-1 codec raises ConfigError before
-    any image is decoded.
+    counts images whose pipeline raised, each logged as one line with the
+    reason; an exception other than ValueError (bad data or a bad
+    prediction) adds its traceback.
+    With collect_diagnostics, an image's diagnostics is one record of arrays
+    per patch: its offset, its origin, its (n, 3) votes (x, y, |d|) in image
+    coordinates before the noise filter, and each vote's 0-based axis
+    ("vote_axes") with that axis's solver "iterations" and "converged" flag.
+    Those are the axis route's per-axis solves, so a scheme-1 codec raises
+    ConfigError before any image is decoded.
     """
     if collect_diagnostics and codec.scheme != 2:
         raise ConfigError(
@@ -307,41 +308,21 @@ def run_detection(
             f"encoder.scheme 2, got encoder.scheme {codec.scheme}"
         )
     offset = config.patches.offsets[offset_index]
-    rho = config.evaluation.rho
-
-    def work(item):
-        index, (image_id, image, annotations) = item
-        records = [] if collect_diagnostics else None
-        detections = _detect_image(
-            config, codec, index, image, annotations, offset_index, offset, model, records
-        )
-        report = match_detections(detections, annotations, rho)
-        return {
-            "id": image_id,
-            "detections": detections,
-            "report": report,
-            "diagnostics": records,
-        }
-
     results = []
     failures = 0
-    items = list(enumerate(images))
-    if config.run.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.run.workers) as pool:
-            futures = [pool.submit(work, item) for item in items]
-            for item, future in zip(items, futures):
-                try:
-                    results.append(future.result())
-                except Exception:
-                    failures += 1
-                    log.exception("image %s failed", item[1][0])
-    else:
-        for item in items:
-            try:
-                results.append(work(item))
-            except Exception:
-                failures += 1
-                log.exception("image %s failed", item[1][0])
+    for index, (image_id, image, annotations) in enumerate(images):
+        records = [] if collect_diagnostics else None
+        try:
+            detections = _detect_image(
+                config, codec, index, image, annotations, offset_index, offset, model, records
+            )
+            report = match_detections(detections, annotations, config.evaluation.rho)
+            results.append(
+                {"id": image_id, "detections": detections, "report": report, "diagnostics": records}
+            )
+        except Exception as exc:
+            failures += 1
+            log.error("image %s failed: %s", image_id, exc, exc_info=not isinstance(exc, ValueError))
     return results, failures
 
 

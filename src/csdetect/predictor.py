@@ -287,8 +287,11 @@ def predict(model: RegressorModel, patch: np.ndarray) -> np.ndarray:
     """Forward pass, as a (block_count, block_size) code; the outputs past
     the code, the count channel of a model trained with one, are dropped."""
     features = downsample_patch(patch, model.input_edge)
-    _, out = _forward(model.w1, model.b1, model.w2, model.b2, features[None, :])
-    code = out[0, : model.block_count * model.block_size] * model.output_scale
+    # an overflowing model is caught where its code is decoded (non-finite
+    # prediction), so numpy's warnings would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, out = _forward(model.w1, model.b1, model.w2, model.b2, features[None, :])
+        code = out[0, : model.block_count * model.block_size] * model.output_scale
     return code.reshape(model.block_count, model.block_size)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensing import SensingMatrix, operator_norm_sq
+from .sensing import DEFAULT_ROW_CONSTANT, SensingMatrix, operator_norm_sq
 
 __all__ = [
     "RecoveryParams",
@@ -100,8 +100,9 @@ def recover_rows(ys: np.ndarray, phi: SensingMatrix, params: RecoveryParams):
 
 
 def default_max_sparsity(rows: int, cols: int) -> int:
-    """Invert M >= 4 k ln N: the largest k the row budget is meant for."""
-    return max(1, int(math.ceil(rows / (4.0 * math.log(cols)))))
+    """Invert M >= C k ln N (C = sensing.DEFAULT_ROW_CONSTANT): the largest
+    k the row budget is meant for."""
+    return max(1, int(math.ceil(rows / (DEFAULT_ROW_CONSTANT * math.log(cols)))))
 
 
 def _one_row(solve_rows, y: np.ndarray, phi: SensingMatrix, *args) -> np.ndarray:

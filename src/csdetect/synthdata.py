@@ -266,8 +266,9 @@ def write_manifest(manifest: dict, path) -> None:
 def read_manifest(path) -> dict:
     """Load a manifest and check its shape up front: a mapping with a
     positive integer grid size and a list of image entries, each a mapping
-    with string id, image and annotations paths; optional splits map names
-    to lists of string ids. Every failure is a ValueError naming the file."""
+    with a unique string id and string image and annotations paths; optional
+    splits map names to lists of string ids. Every failure is a ValueError
+    naming the file."""
     with open(path) as fh:
         try:
             manifest = yaml.safe_load(fh)
@@ -286,12 +287,16 @@ def read_manifest(path) -> dict:
     images = manifest["images"]
     if not isinstance(images, list):
         raise ValueError(f"{path}: 'images' must be a list, got {type(images).__name__}")
+    seen = set()
     for i, entry in enumerate(images):
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: images[{i}] must be a mapping, got {type(entry).__name__}")
         for key in ("id", "image", "annotations"):
             if not isinstance(entry.get(key), str):
                 raise ValueError(f"{path}: images[{i}] needs a string '{key}', got {entry.get(key)!r}")
+        if entry["id"] in seen:
+            raise ValueError(f"{path}: images[{i}] repeats image id {entry['id']!r}")
+        seen.add(entry["id"])
     splits = manifest.get("splits", {})
     if not isinstance(splits, dict) or not all(isinstance(ids, list) for ids in splits.values()):
         raise ValueError(f"{path}: 'splits' must map split names to lists of image ids")

@@ -349,7 +349,7 @@ _CLI_DOC = {
               "min_separation": 9.0},
     "patches": {"size": 32, "offsets": [0]},
     "evaluation": {"rho": 6.0},
-    "run": {"seed": 5, "matrix_seed": 11, "workers": 1},
+    "run": {"seed": 5, "matrix_seed": 11},
 }
 
 

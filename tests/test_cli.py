@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 import yaml
 
-from csdetect import recovery
+from csdetect import pipeline, recovery
 from csdetect.cli import entry
-from csdetect.config import ConfigError, default_config, load_config
+from csdetect.config import ConfigError, RunConfig, default_config, load_config
 from csdetect.predictor import init_model, oracle_predict, save_model
 from csdetect.synthdata import extract_patches, save_pgm
 from csdetect.core import AnnotationSet, ImageGrid
@@ -43,7 +43,7 @@ SMALL = {
               "min_separation": 9.0},
     "patches": {"size": 32, "offsets": [0]},
     "evaluation": {"rho": 6.0},
-    "run": {"seed": 5, "matrix_seed": 11, "workers": 1},
+    "run": {"seed": 5, "matrix_seed": 11},
 }
 
 
@@ -100,6 +100,11 @@ def test_config_rejects_unknown_names(tmp_path):
         load_config(path)
     _write_config(path, {"encoder": {"rows": 5}})
     with pytest.raises(ConfigError, match="unknown keys in 'encoder'"):
+        load_config(path)
+    # detection runs in one thread: workers is no field, so no key
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["seed", "matrix_seed"]
+    _write_config(path, {"run": {"workers": 2}})
+    with pytest.raises(ConfigError, match=r"unknown keys in 'run': \['workers'\]"):
         load_config(path)
 
 
@@ -257,9 +262,42 @@ def test_run_detection_reports_non_finite_predictions(tmp_path, caplog, monkeypa
         results, failures = run_detection(config, codec, images, model=model)
     assert (results, failures) == ([], 1)
     (record,) = caplog.records
-    assert record.getMessage() == "image img7 failed"
     on_axes = " on axes 1,2,3,4,5,6" if scheme == 2 else ""
-    assert str(record.exc_info[1]) == f"patch at (0, 0): non-finite prediction{on_axes}"
+    assert record.getMessage() == f"image img7 failed: patch at (0, 0): non-finite prediction{on_axes}"
+    assert not record.exc_info  # no traceback
+
+
+def test_run_detection_logs_an_unexpected_error_with_its_traceback(tmp_path, caplog, monkeypatch):
+    config = load_config(_write_config(tmp_path / "c.yaml"))
+    grid = ImageGrid(32, 32)
+    images = [("img7", np.zeros((32, 32)), AnnotationSet(grid=grid, cells=((5.0, 5.0),)))]
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(pipeline, "_detect_image", boom)
+    with caplog.at_level(logging.ERROR, logger="csdetect.pipeline"):
+        assert run_detection(config, make_codec(config), images) == ([], 1)
+    (record,) = caplog.records
+    assert record.getMessage() == "image img7 failed: boom"
+    assert isinstance(record.exc_info[1], RuntimeError)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_model_fails_its_image_in_one_log_line(tmp_path, caplog):
+    doc = dict(SMALL, predictor=dict(SMALL["predictor"], mode="trained"))
+    config = load_config(_write_config(tmp_path / "c.yaml", doc))
+    model = init_model(input_edge=8, hidden=8, block_size=12, block_count=6, mtl_lambda=0.2, seed=0)
+    model = dataclasses.replace(model, w2=model.w2 * 1e307, output_scale=1e3)
+    grid = ImageGrid(32, 32)
+    images = [("img7", np.ones((32, 32)), AnnotationSet(grid=grid, cells=((5.0, 5.0),)))]
+    with caplog.at_level(logging.ERROR, logger="csdetect.pipeline"):
+        assert run_detection(config, make_codec(config), images, model=model) == ([], 1)
+    (record,) = caplog.records
+    assert record.getMessage() == (
+        "image img7 failed: patch at (0, 0): non-finite prediction on axes 1,2,3,4,5,6"
+    )
+    assert not record.exc_info  # no traceback
 
 
 def test_ensemble_counts_a_failed_image_once(tmp_path):
@@ -529,7 +567,7 @@ def test_cli_bad_stage_value_is_a_config_error(workspace, tmp_path, capsys, sect
     ("encoder", "axes", "x"),
     ("synth", "cell_count", 5),
     ("patches", "offsets", 0),
-    ("run", "workers", "x"),
+    ("run", "matrix_seed", "x"),
     ("patches", "size", "x"),
     ("evaluation", "rho", "x"),
     ("decode", "bandwidth", "x"),
@@ -645,9 +683,10 @@ def test_cli_rejects_pgm_off_the_manifest_grid(workspace, tmp_path, capsys, widt
 
 @pytest.mark.parametrize("argv", [
     ["ensemble", "--diagnostics", "--manifest", "m.yaml"],
-    ["synth", "--workers", "3"],
+    ["synth", "--mode", "oracle"],
     ["train", "--offsets", "0,16", "--manifest", "m.yaml"],
     ["ripcheck", "--diagnostics"],
+    ["run", "--workers", "2", "--manifest", "m.yaml"],  # detection runs in one thread
 ])
 def test_cli_flags_are_scoped_to_their_subcommands(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -668,6 +707,12 @@ def _list_unknown_id(manifest):
     manifest.write_text(yaml.safe_dump(doc))
 
 
+def _repeat_test_000(manifest):
+    doc = yaml.safe_load(manifest.read_text())
+    doc["images"].append(next(e for e in doc["images"] if e["id"] == "test_000"))
+    manifest.write_text(yaml.safe_dump(doc))
+
+
 def _nest_split_id(manifest):
     doc = yaml.safe_load(manifest.read_text())
     doc["splits"]["test"] = [[image_id] for image_id in doc["splits"]["test"]]
@@ -681,8 +726,9 @@ def _nest_split_id(manifest):
         (_drop_annotations, "images[1] needs a string 'annotations'"),
         (_nest_split_id, "split 'test' holds non-string image ids [['test_000'], ['test_001']]"),
         (_list_unknown_id, "split 'test' lists image ids ['test_999'] with no entry in 'images'"),
+        (_repeat_test_000, "images[4] repeats image id 'test_000'"),
     ],
-    ids=["empty", "no-annotations", "list-split-id", "unknown-split-id"],
+    ids=["empty", "no-annotations", "list-split-id", "unknown-split-id", "repeated-id"],
 )
 def test_cli_rejects_bad_manifest(workspace, tmp_path, capsys, spoil, reason):
     data = tmp_path / "data"

@@ -1,6 +1,7 @@
 """Signal predictors: noisy oracle, trainable regressor and its count channel."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,15 @@ def test_predict_zero_weight_model_gives_zero_signal():
     )
     y_hat = predict(model, np.full((4, 4), 0.7))
     assert np.array_equal(y_hat, np.zeros((2, 3)))
+
+
+def test_predict_of_an_overflowing_model_warns_nothing():
+    model = init_model(8, 8, 12, 6, mtl_lambda=0.2, seed=0)
+    model = dataclasses.replace(model, w2=model.w2 * 1e307, output_scale=1e3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y_hat = predict(model, np.ones((32, 32)))
+    assert not np.isfinite(y_hat).any()
 
 
 def test_predict_shape_and_count_channel():
