@@ -106,9 +106,9 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = _load(args)
     codec = make_codec(config)
+    model, losses = train_from_manifest(config, args.manifest, codec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model, losses = train_from_manifest(config, args.manifest, codec)
     save_model(model, out / "model.bin")
     save_training_log(losses, out / "training_log.csv")
     print(f"trained {model.epochs} epochs, final loss {model.final_loss:.6g}")

@@ -172,8 +172,9 @@ def generate_dataset(config: PipelineConfig, out_dir) -> dict:
 
 
 def load_split(manifest_path, split: str) -> list:
-    """[(image id, pixels, AnnotationSet)] for one manifest split; every
-    image must have the manifest's grid size."""
+    """[(image id, pixels, AnnotationSet)] for one manifest split, pixels
+    the image's uint8 gray levels (load_pgm); every image must have the
+    manifest's grid size."""
     manifest_path = Path(manifest_path)
     manifest = read_manifest(manifest_path)
     base = manifest_path.parent

@@ -143,7 +143,12 @@ class RegressorModel:
 
 def downsample_patch(patch: np.ndarray, edge: int) -> np.ndarray:
     """Block-mean pool a patch to edge x edge and flatten, centering pixel
-    values around mid-gray. Uneven patch sizes split into near-equal blocks."""
+    values around mid-gray. Uneven patch sizes split into near-equal blocks.
+    The patch holds [0, 1] floats or uint8 gray levels, which count as
+    level / 255."""
+    patch = np.asarray(patch)
+    if patch.dtype == np.uint8:
+        patch = patch.astype(np.float64) / 255.0
     patch = np.asarray(patch, dtype=np.float64)
     if patch.ndim != 2:
         raise ValueError("patch must be 2-D")

@@ -126,8 +126,9 @@ def generate_image(params: SynthesisParams, seed: int):
 class Patch:
     """A square tile of an image with its annotations in tile coordinates.
 
-    origin is 0-based: tile pixel (1, 1) sits at image pixel
-    (origin[0] + 1, origin[1] + 1).
+    pixels is a view of the image: uint8 gray levels for a loaded image,
+    [0, 1] floats for a synthesized one. origin is 0-based: tile pixel
+    (1, 1) sits at image pixel (origin[0] + 1, origin[1] + 1).
     """
 
     pixels: np.ndarray
@@ -208,11 +209,17 @@ def rotate_augment(patch: np.ndarray, annotations: AnnotationSet) -> list:
 
 
 def save_pgm(image: np.ndarray, path) -> None:
-    """8-bit binary portable graymap from a [0, 1] float image."""
+    """8-bit binary portable graymap from a [0, 1] float image, or from
+    uint8 gray levels, which are written unchanged."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError("image must be 2-D")
-    levels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+    if image.dtype == np.uint8:
+        levels = image
+    elif not np.isfinite(image).all():
+        raise ValueError(f"{path}: image holds non-finite pixels")
+    else:
+        levels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     height, width = levels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
@@ -220,6 +227,8 @@ def save_pgm(image: np.ndarray, path) -> None:
 
 
 def load_pgm(path) -> np.ndarray:
+    """The (height, width) uint8 gray levels of an 8-bit binary PGM, a
+    read-only view of the file's bytes; level v stands for v / 255."""
     raw = Path(path).read_bytes()
     if raw[:2] != b"P5" or raw[2:3].strip():
         raise ValueError(f"{path}: not a binary PGM")
@@ -254,7 +263,7 @@ def load_pgm(path) -> np.ndarray:
     body = np.frombuffer(raw[pos:], dtype=np.uint8)
     if body.size < width * height:
         raise ValueError(f"{path}: truncated pixel data")
-    return body[: width * height].reshape(height, width).astype(np.float64) / 255.0
+    return body[: width * height].reshape(height, width)
 
 
 def write_manifest(manifest: dict, path) -> None:

@@ -205,6 +205,7 @@ def test_load_split(tmp_path):
     assert [image_id for image_id, _, _ in train] == ["train_000", "train_001"]
     image_id, image, annotations = train[0]
     assert image.shape == (32, 32)
+    assert all(pixels.dtype == np.uint8 for _, pixels, _ in train)  # the file's gray levels
     assert annotations.grid == ImageGrid(32, 32)
     assert 1 <= len(annotations.cells) <= 2
     assert load_split(tmp_path / "d" / "manifest.yaml", "holdout") == []
@@ -482,6 +483,17 @@ def test_cli_train_without_the_count_channel(workspace, tmp_path, capsys):
                   "--out", str(tmp_path / "model")])
     assert code == 0
     assert "trained 3 epochs" in capsys.readouterr().out
+
+
+def test_cli_train_that_diverges_writes_no_output_directory(workspace, tmp_path, capsys):
+    doc = dict(SMALL, predictor=dict(SMALL["predictor"], learning_rate=1e6, epochs=20))
+    cfg = _write_config(tmp_path / "diverge.yaml", doc)
+    out = tmp_path / "model"
+    code = entry(["train", "--config", cfg, "--manifest", workspace["manifest"],
+                  "--out", str(out)])
+    assert code == 2
+    assert "training diverged" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_ripcheck(workspace, tmp_path, capsys):

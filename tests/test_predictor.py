@@ -79,6 +79,13 @@ def test_downsample_identity_and_pooling():
         downsample_patch(patch, 9)
 
 
+@pytest.mark.parametrize("side, edge", [(16, 4), (260, 32)])
+def test_downsample_reads_uint8_levels_as_level_over_255(side, edge):
+    levels = np.random.default_rng(side).integers(0, 256, (side, side), dtype=np.uint8)
+    features = downsample_patch(levels, edge)
+    assert np.array_equal(features, downsample_patch(levels.astype(np.float64) / 255.0, edge))
+
+
 def test_model_shape_validation():
     model = init_model(input_edge=4, hidden=6, block_size=3, block_count=2, mtl_lambda=0.2, seed=0)
     assert model.w1.shape == (16, 6)  # input_edge**2 inputs

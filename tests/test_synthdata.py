@@ -171,25 +171,39 @@ def test_pgm_round_trip(tmp_path):
     path = tmp_path / "img.pgm"
     save_pgm(image, path)
     loaded = load_pgm(path)
-    assert loaded.shape == (12, 17)
-    assert np.array_equal(np.rint(image * 255), np.rint(loaded * 255))
+    assert loaded.dtype == np.uint8 and loaded.shape == (12, 17)
+    assert np.array_equal(loaded, np.rint(np.clip(image, 0.0, 1.0) * 255.0))
+    data = path.read_bytes()
+    save_pgm(loaded, path)
+    assert path.read_bytes() == data
 
 
 @settings(max_examples=100, deadline=None)
 @given(image=hnp.arrays(
     np.float64,
     hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
-    elements=st.one_of(st.floats(0.0, 1.0), st.integers(0, 255).map(lambda v: v / 255.0)),
+    elements=st.one_of(st.floats(-0.5, 1.5), st.integers(0, 255).map(lambda v: v / 255.0)),
 ))
 def test_pgm_round_trip_property(tmp_path_factory, image):
     path = tmp_path_factory.mktemp("pgm") / "img.pgm"
     save_pgm(image, path)
     loaded = load_pgm(path)
-    levels = np.rint(image * 255.0)
-    assert loaded.shape == image.shape
-    assert np.array_equal(loaded * 255.0, levels)  # the 8-bit levels come back exactly
-    save_pgm(loaded, path)
-    assert np.array_equal(load_pgm(path), loaded)
+    assert loaded.dtype == np.uint8 and loaded.shape == image.shape
+    assert np.array_equal(loaded, np.rint(np.clip(image, 0.0, 1.0) * 255.0))
+    data = path.read_bytes()
+    save_pgm(loaded, path)  # uint8 levels are written unchanged
+    assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_pgm_rejects_non_finite_pixels_before_writing(tmp_path, bad):
+    image = np.full((3, 4), 0.5)
+    image[1, 2] = bad
+    path = tmp_path / "img.pgm"
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        save_pgm(image, path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert not path.exists()
 
 
 def test_pgm_parser_handles_comments_and_rejects_garbage(tmp_path):
