@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "ImageGrid",
     "AnnotationSet",
-    "DetectedPoint",
     "DetectionResult",
     "round_half_up",
     "save_annotations_csv",
@@ -133,46 +132,34 @@ def load_annotations_csv(path, grid: ImageGrid) -> AnnotationSet:
     return AnnotationSet(grid=grid, cells=tuple(cells))
 
 
-@dataclass(frozen=True)
-class DetectedPoint:
-    """One detected point and the number of candidates that produced it."""
-
-    x: float
-    y: float
-    support: int = 1
-
-    def __post_init__(self):
-        if self.support < 1:
-            raise ValueError("support must be >= 1")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("detection coordinates must be finite")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionResult:
-    """Final detections for one image or patch."""
+    """Final detections for one image or patch: a read-only (n, 3) float
+    array whose rows are x, y and support, the number of candidates that
+    produced the detection. Coordinates must be finite and support >= 1.
+    Results compare through their arrays (np.array_equal on points)."""
 
-    points: tuple = ()
+    points: np.ndarray = ()
 
     def __post_init__(self):
-        pts = tuple(
-            p if isinstance(p, DetectedPoint) else DetectedPoint(*p)
-            for p in self.points
-        )
-        object.__setattr__(self, "points", pts)
+        points = np.array(self.points, dtype=np.float64)
+        if not points.size:
+            points = points.reshape(0, 3)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"detections must be an (n, 3) array, got shape {points.shape}")
+        if not np.isfinite(points[:, :2]).all():
+            raise ValueError("detection coordinates must be finite")
+        if not (points[:, 2] >= 1).all():
+            raise ValueError("support must be >= 1")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def coords(self) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, 2))
-        return np.asarray([(p.x, p.y) for p in self.points], dtype=np.float64)
-
-    def translated(self, dx: float, dy: float) -> "DetectionResult":
-        return DetectionResult(
-            tuple(DetectedPoint(p.x + dx, p.y + dy, p.support) for p in self.points)
-        )
+        """Detection coordinates as an (n, 2) float array."""
+        return self.points[:, :2]
 
 
 def save_detections_csv(result: DetectionResult, path) -> None:
@@ -180,5 +167,5 @@ def save_detections_csv(result: DetectionResult, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "y", "support"])
-        for p in result.points:
-            writer.writerow([fmt_float(p.x), fmt_float(p.y), p.support])
+        for x, y, support in result.points.tolist():
+            writer.writerow([fmt_float(x), fmt_float(y), int(support)])

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DetectedPoint, DetectionResult, ImageGrid
+from .core import DetectionResult, ImageGrid
 from .encoder import AxisLayout
 from .recovery import RecoveryParams, recover_rows
 # unused here; perfbench/tracing.py wraps these names on this module
@@ -83,14 +83,7 @@ class DecodeParams:
         )
         if support > layout.count:
             raise ValueError(f"min_support {support} exceeds axis count {layout.count}")
-        return DecodeParams(
-            scheme1_threshold=self.scheme1_threshold,
-            bandwidth=bandwidth,
-            min_support=support,
-            noise_margin=margin,
-            merge_radius=self.merge_radius,
-            merge_min_count=self.merge_min_count,
-        )
+        return replace(self, bandwidth=bandwidth, min_support=support, noise_margin=margin)
 
 
 def decode_scheme1(f_hat: np.ndarray, grid: ImageGrid, threshold: float) -> DetectionResult:
@@ -101,18 +94,16 @@ def decode_scheme1(f_hat: np.ndarray, grid: ImageGrid, threshold: float) -> Dete
         raise ValueError(
             f"signal shape {f_hat.shape} does not match grid pixels {grid.n_pixels}"
         )
-    points = []
-    h = grid.height
-    for index in (np.flatnonzero((f_hat != 0) & (f_hat > threshold)) + 1).tolist():
-        x = (index - 1) % h + 1
-        y = (index - 1) // h + 1
-        if not grid.contains(x, y):
-            raise ValueError(
-                f"index {index} inverts to ({x}, {y}) outside the grid; "
-                f"reshaping decode requires a square grid"
-            )
-        points.append(DetectedPoint(x=float(x), y=float(y), support=1))
-    return DetectionResult(points=tuple(points))
+    index = np.flatnonzero((f_hat != 0) & (f_hat > threshold))
+    x, y = index % grid.height + 1, index // grid.height + 1
+    outside = np.flatnonzero(~grid.contains(x, y))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(
+            f"index {index[i] + 1} inverts to ({x[i]}, {y[i]}) outside the grid; "
+            f"reshaping decode requires a square grid"
+        )
+    return DetectionResult(np.column_stack([x, y, np.ones(index.size)]))
 
 
 def _votes(geometry: np.ndarray, r: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -301,15 +292,11 @@ def decode_scheme2(
         )
     kept = filter_noise_candidates(candidates, layout.grid, params.noise_margin)
     clusters = meanshift_cluster(kept, params.bandwidth)
-    points = tuple(
-        DetectedPoint(x=cx, y=cy, support=support)
-        for (cx, cy), support in clusters
-        if support >= params.min_support
-    )
+    points = [(cx, cy, support) for (cx, cy), support in clusters if support >= params.min_support]
     if diagnostics is not None:
         diagnostics.update(signals=x, iterations=iterations, converged=converged,
                            votes=candidates, vote_axes=rows)
-    return DetectionResult(points=points)
+    return DetectionResult(points)
 
 
 def merge_ensemble(detection_sets, merge_radius: float = 9.0, merge_min_count: int = 6) -> DetectionResult:
@@ -325,12 +312,10 @@ def merge_ensemble(detection_sets, merge_radius: float = 9.0, merge_min_count: i
         raise ValueError("merge_min_count must be >= 1")
     if merge_radius <= 0:
         raise ValueError("merge_radius must be > 0")
-    pool = sorted(
-        ((p.x, p.y) for result in detection_sets for p in result.points),
-    )
-    if not pool:
+    pts = np.concatenate([np.zeros((0, 2)), *(result.coords() for result in detection_sets)])
+    if not len(pts):
         return DetectionResult()
-    pts = np.array(pool, dtype=np.float64)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     alive = np.ones(len(pts), dtype=bool)
     r2 = merge_radius * merge_radius
     merged = []
@@ -343,9 +328,9 @@ def merge_ensemble(detection_sets, merge_radius: float = 9.0, merge_min_count: i
         group = live_idx[d2[seed] <= r2]
         if counts[seed] >= merge_min_count:
             gx, gy = pts[group].mean(axis=0)
-            merged.append(DetectedPoint(x=float(gx), y=float(gy), support=int(counts[seed])))
+            merged.append((gx, gy, counts[seed]))
             alive[group] = False
         else:
             alive[live_idx[seed]] = False
-    merged.sort(key=lambda p: (p.x, p.y))
-    return DetectionResult(points=tuple(merged))
+    merged.sort(key=lambda row: row[:2])
+    return DetectionResult(merged)

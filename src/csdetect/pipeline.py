@@ -259,7 +259,7 @@ def _detect_image(
     model: RegressorModel | None,
     diagnostics: list | None,
 ) -> DetectionResult:
-    points = []
+    rows = []
     patches = extract_patches(image, annotations, config.patches.size, (offset, offset))
     for patch_index, patch in enumerate(patches):
         seed = derive_seed(config.run.seed, image_index, offset_index, patch_index, SALT_ORACLE)
@@ -269,8 +269,7 @@ def _detect_image(
             detected = decode_signal(codec, y_hat, config, diagnostics=diag)
         except ValueError as exc:
             raise ValueError(f"patch at {patch.origin}: {exc}") from exc
-        detected = detected.translated(patch.origin[0], patch.origin[1])
-        points.extend(detected.points)
+        rows.append(detected.points + (*patch.origin, 0))
         if diag is not None:
             votes, axes = diag["votes"], diag["vote_axes"]
             votes[:, :2] += patch.origin
@@ -278,7 +277,13 @@ def _detect_image(
                 {"offset": offset, "origin": patch.origin, "votes": votes, "vote_axes": axes,
                  "iterations": diag["iterations"][axes], "converged": diag["converged"][axes]}
             )
-    return DetectionResult(points=tuple(points))
+    return DetectionResult(np.concatenate(rows) if rows else ())
+
+
+def _log_failure(image_id, exc: Exception) -> None:
+    """One line with the reason; an exception other than ValueError (bad
+    data or a bad prediction) adds its traceback."""
+    log.error("image %s failed: %s", image_id, exc, exc_info=not isinstance(exc, ValueError))
 
 
 def run_detection(
@@ -286,10 +291,9 @@ def run_detection(
     codec: Codec,
     images,
     model: RegressorModel | None = None,
-    offset_index: int = 0,
     collect_diagnostics: bool = False,
 ):
-    """Detect on every image at the tiling offset config.patches.offsets[offset_index].
+    """Detect on every image at the first tiling offset in config.patches.offsets.
 
     Returns (results, failures) where results is a list of per-image dicts
     (id, detections, report, diagnostics) in input order and failures
@@ -308,14 +312,14 @@ def run_detection(
             f"diagnostics record the axis route's per-axis solves and need "
             f"encoder.scheme 2, got encoder.scheme {codec.scheme}"
         )
-    offset = config.patches.offsets[offset_index]
+    offset = config.patches.offsets[0]
     results = []
     failures = 0
     for index, (image_id, image, annotations) in enumerate(images):
         records = [] if collect_diagnostics else None
         try:
             detections = _detect_image(
-                config, codec, index, image, annotations, offset_index, offset, model, records
+                config, codec, index, image, annotations, 0, offset, model, records
             )
             report = match_detections(detections, annotations, config.evaluation.rho)
             results.append(
@@ -323,7 +327,7 @@ def run_detection(
             )
         except Exception as exc:
             failures += 1
-            log.error("image %s failed: %s", image_id, exc, exc_info=not isinstance(exc, ValueError))
+            _log_failure(image_id, exc)
     return results, failures
 
 
@@ -361,30 +365,37 @@ def ensemble_detection(
     images,
     model: RegressorModel | None = None,
 ):
-    """Run every configured offset and merge each image's detections.
+    """Run every configured offset on each image and merge its detections.
 
-    Returns (merged results, per-offset results, failures). An image whose
-    pipeline raised at any offset counts as one failure and, as in
-    run_detection, has no merged result.
+    Returns (merged results, per-offset results, failures): per-offset
+    results are lists of run_detection's dicts, one list per offset, and
+    both hold only the images that every offset decoded. An image whose
+    pipeline raises stops at that offset and, as in run_detection, counts
+    as one failure logged on one line.
     """
     _warn_idle_offsets(config, images)
-    per_offset = [
-        run_detection(config, codec, images, model, offset_index=offset_index)[0]
-        for offset_index in range(len(config.patches.offsets))
-    ]
+    offsets = config.patches.offsets
+    rho = config.evaluation.rho
+    per_offset = [[] for _ in offsets]
     merged = []
     failures = 0
-    for image_id, _, annotations in images:
-        sets = [
-            result["detections"]
-            for results in per_offset
-            for result in results
-            if result["id"] == image_id
-        ]
-        if len(sets) < len(per_offset):
+    for index, (image_id, image, annotations) in enumerate(images):
+        try:
+            sets = [
+                _detect_image(config, codec, index, image, annotations, offset_index, offset,
+                              model, None)
+                for offset_index, offset in enumerate(offsets)
+            ]
+            reports = [match_detections(detections, annotations, rho) for detections in sets]
+        except Exception as exc:
             failures += 1
+            _log_failure(image_id, exc)
             continue
+        for results, detections, report in zip(per_offset, sets, reports):
+            results.append(
+                {"id": image_id, "detections": detections, "report": report, "diagnostics": None}
+            )
         fused = merge_ensemble(sets, config.decode.merge_radius, config.decode.merge_min_count)
-        report = match_detections(fused, annotations, config.evaluation.rho)
+        report = match_detections(fused, annotations, rho)
         merged.append({"id": image_id, "detections": fused, "report": report, "diagnostics": None})
     return merged, per_offset, failures

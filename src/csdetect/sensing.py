@@ -19,7 +19,6 @@ __all__ = [
     "RipReport",
     "make_sensing_matrix",
     "operator_norm_sq",
-    "minimum_rows",
     "project",
     "empirical_rip_check",
 ]
@@ -104,19 +103,6 @@ def operator_norm_sq(a: np.ndarray, iterations: int = 16) -> float:
             return 1.0
         v = w / est
     return 1.1 * est
-
-
-def minimum_rows(
-    sparsity: int, signal_length: int, constant: float = DEFAULT_ROW_CONSTANT
-) -> int:
-    """Smallest measurement count M with M >= constant * k * ln(N)."""
-    if sparsity < 1:
-        raise ValueError("sparsity must be >= 1")
-    if signal_length <= 1:
-        raise ValueError("signal_length must be > 1")
-    if constant <= 1.0:
-        raise ValueError("constant must be > 1")
-    return int(math.ceil(constant * sparsity * math.log(signal_length)))
 
 
 def project(phi: SensingMatrix, signal: np.ndarray) -> np.ndarray:

@@ -244,19 +244,20 @@ def test_criterion_8_ensemble_merge_rule():
     mean = np.mean(np.array(seven), axis=0)
     ok = (
         len(merged) == 1
-        and merged.points[0].support == 7
-        and abs(merged.points[0].x - mean[0]) <= 1e-12
-        and abs(merged.points[0].y - mean[1]) <= 1e-12
+        and merged.points[0, 2] == 7
+        and abs(merged.points[0, 0] - mean[0]) <= 1e-12
+        and abs(merged.points[0, 1] - mean[1]) <= 1e-12
     )
     # boundary case: exactly six votes is enough
     six = [DetectionResult(points=((30.0 + 0.1 * i, 30.0, 1),)) for i in range(6)]
     boundary = merge_ensemble(six, 9.0, 6)
-    ok = ok and len(boundary) == 1 and boundary.points[0].support == 6
+    ok = ok and len(boundary) == 1 and boundary.points[0, 2] == 6
     _verdict(8, "ensemble merge rule", ok,
              "7-vote group merged to its mean, 5-vote group and singleton "
              "discarded, 6-vote group kept")
 
 
+@pytest.mark.slow  # most of the suite's time; `-m "not slow"` leaves it out
 def test_criterion_9_training_lifts_f1():
     started = time.perf_counter()
     grid = ImageGrid(32, 32)

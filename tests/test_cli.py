@@ -3,8 +3,11 @@
 import dataclasses
 import logging
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -301,16 +304,19 @@ def test_an_overflowing_model_fails_its_image_in_one_log_line(tmp_path, caplog):
     assert not record.exc_info  # no traceback
 
 
-def test_ensemble_counts_a_failed_image_once(tmp_path):
+def test_ensemble_counts_a_failed_image_once(tmp_path, caplog):
     doc = dict(SMALL, predictor=dict(SMALL["predictor"], mode="trained"),
                patches={"size": 32, "offsets": [0, 8, 16]})
     config = load_config(_write_config(tmp_path / "c.yaml", doc))
     grid = ImageGrid(64, 64)
     images = [("img", np.zeros((64, 64)), AnnotationSet(grid=grid, cells=((9.0, 9.0),)))]
-    merged, per_offset, failures = ensemble_detection(config, make_codec(config), images)
+    with caplog.at_level(logging.ERROR, logger="csdetect.pipeline"):
+        merged, per_offset, failures = ensemble_detection(config, make_codec(config), images)
     assert failures == 1
     assert merged == []
     assert per_offset == [[], [], []]
+    (record,) = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert record.getMessage() == "image img failed: trained mode requires a model"
 
 
 @pytest.mark.parametrize("width, offsets, merge_min_count, expected", [
@@ -494,6 +500,30 @@ def test_cli_train_that_diverges_writes_no_output_directory(workspace, tmp_path,
     assert code == 2
     assert "training diverged" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_train_gives_the_same_model_with_blas_threads_unset(tmp_path, capsys):
+    # default layout and net: its matrix products are large enough for a
+    # threaded BLAS to split them, which changes the model's last bits
+    cfg = _write_config(tmp_path / "c.yaml", {"synth": {"train_images": 3, "test_images": 1},
+                                              "predictor": {"epochs": 3, "learning_rate": 0.01}})
+    assert entry(["synth", "--config", cfg, "--out", str(tmp_path / "data")]) == 0
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    models = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"model-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "csdetect", "train", "--config", cfg,
+             "--manifest", str(tmp_path / "data" / "manifest.yaml"), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        models.append((out / "model.bin").read_bytes())
+    assert models[0] == models[1]
 
 
 def test_cli_ripcheck(workspace, tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from csdetect.core import (
     AnnotationSet,
-    DetectedPoint,
     DetectionResult,
     ImageGrid,
     load_annotations_csv,
@@ -104,20 +103,31 @@ def test_annotations_csv_rejects_bad_header(tmp_path):
 
 
 def test_detected_point_validation():
-    DetectedPoint(x=1.0, y=2.0, support=3)
-    with pytest.raises(ValueError):
-        DetectedPoint(x=1.0, y=2.0, support=0)
-    with pytest.raises(ValueError):
-        DetectedPoint(x=float("nan"), y=2.0)
+    # every row is one detected point: x, y, support
+    DetectionResult(points=((1.0, 2.0, 3),))
+    with pytest.raises(ValueError, match="support"):
+        DetectionResult(points=((1.0, 2.0, 3), (1.0, 2.0, 0)))
+    with pytest.raises(ValueError, match="support"):
+        DetectionResult(points=((1.0, 2.0, float("nan")),))
+    with pytest.raises(ValueError, match="finite"):
+        DetectionResult(points=((float("nan"), 2.0, 1),))
+    with pytest.raises(ValueError, match="finite"):
+        DetectionResult(points=((1.0, float("inf"), 1),))
+    with pytest.raises(ValueError, match="shape"):
+        DetectionResult(points=((1.0, 2.0),))
 
 
-def test_detection_result_coords_and_translate():
-    result = DetectionResult(points=((1.0, 2.0, 4), DetectedPoint(3.0, 4.0)))
+def test_detection_result_rows_and_coords():
+    rows = np.array([[1.0, 2.0, 4], [3.0, 4.0, 1]])
+    result = DetectionResult(points=rows)
     assert len(result) == 2
-    assert np.allclose(result.coords(), [[1.0, 2.0], [3.0, 4.0]])
-    moved = result.translated(10.0, 20.0)
-    assert np.allclose(moved.coords(), [[11.0, 22.0], [13.0, 24.0]])
-    assert moved.points[0].support == 4
+    assert np.array_equal(result.points, rows)
+    assert np.array_equal(result.coords(), [[1.0, 2.0], [3.0, 4.0]])
+    rows[0, 0] = 99.0  # the result holds its own copy, and it is read-only
+    assert result.points[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        result.points[0, 0] = 5.0
+    assert DetectionResult().points.shape == (0, 3)
     assert DetectionResult().coords().shape == (0, 2)
 
 
@@ -133,5 +143,5 @@ def test_detections_csv_round_trip(tmp_path):
         "0.30000000000000004,0.3333333333333333,2\n"
     )
     rows = [line.split(",") for line in text.splitlines()[1:]]
-    parsed = tuple(DetectedPoint(float(x), float(y), int(s)) for x, y, s in rows)
-    assert parsed == result.points
+    parsed = DetectionResult(points=[(float(x), float(y), int(s)) for x, y, s in rows])
+    assert np.array_equal(parsed.points, result.points)

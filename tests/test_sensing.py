@@ -1,4 +1,4 @@
-"""Sensing matrices: generation, row budget, projection, isometry."""
+"""Sensing matrices: generation, projection, isometry."""
 
 import math
 
@@ -9,7 +9,6 @@ from csdetect.sensing import (
     SensingMatrix,
     empirical_rip_check,
     make_sensing_matrix,
-    minimum_rows,
     project,
 )
 
@@ -38,21 +37,6 @@ def test_projection_must_compress():
         make_sensing_matrix(0, 50, seed=0)
     with pytest.raises(ValueError):
         SensingMatrix(entries=np.ones((3, 2)), seed=0)
-
-
-def test_minimum_rows_values():
-    # 4 * 10 * ln 4096 = 480 ln 2 = 332.71..., hand-checked ceiling
-    assert minimum_rows(10, 4096, 4.0) == 333
-    assert minimum_rows(1, math.e, 1.5) == 2
-
-
-def test_minimum_rows_rejects_degenerate_inputs():
-    with pytest.raises(ValueError):
-        minimum_rows(0, 4096)
-    with pytest.raises(ValueError):
-        minimum_rows(5, 1)
-    with pytest.raises(ValueError):
-        minimum_rows(5, 100, constant=1.0)
 
 
 def test_project_matches_matmul():
