@@ -45,15 +45,12 @@ class EncoderConfig:
     scheme: int = 2
     axes: int = 27
     measurements: int = 112
-    margin: float | None = None  # None: 5% of the patch diagonal
 
     def __post_init__(self):
         if self.scheme not in (1, 2):
             raise ValueError(f"scheme must be 1 or 2, got {self.scheme!r}")
         if self.axes < 1 or self.measurements < 1:
             raise ValueError("axes and measurements must be >= 1")
-        if self.margin is not None and self.margin <= 0:
-            raise ValueError("margin must be > 0 when given")
 
 
 @dataclass(frozen=True)

@@ -53,13 +53,11 @@ _SHIFT_CHUNK = 64
 @dataclass(frozen=True)
 class DecodeParams:
     """Decoding knobs. None fields resolve against the axis layout:
-    noise_margin defaults to the encoder margin, bandwidth to half of it,
-    min_support to ceil(L/2)."""
+    bandwidth defaults to half the layout's margin, min_support to
+    ceil(L/2). The noise filter's margin is always the layout's margin."""
 
-    scheme1_threshold: float = 0.5
     bandwidth: float | None = None
     min_support: int | None = None
-    noise_margin: float | None = None
     merge_radius: float = 9.0
     merge_min_count: int = 6
 
@@ -68,14 +66,11 @@ class DecodeParams:
             raise ValueError("bandwidth must be > 0")
         if self.min_support is not None and self.min_support < 1:
             raise ValueError("min_support must be >= 1")
-        if self.noise_margin is not None and self.noise_margin <= 0:
-            raise ValueError("noise_margin must be > 0")
         if self.merge_radius <= 0 or self.merge_min_count < 1:
             raise ValueError("merge parameters must be positive")
 
     def resolved(self, layout: AxisLayout) -> "DecodeParams":
-        margin = self.noise_margin if self.noise_margin is not None else layout.margin
-        bandwidth = self.bandwidth if self.bandwidth is not None else 0.5 * margin
+        bandwidth = self.bandwidth if self.bandwidth is not None else 0.5 * layout.margin
         support = (
             self.min_support
             if self.min_support is not None
@@ -83,18 +78,18 @@ class DecodeParams:
         )
         if support > layout.count:
             raise ValueError(f"min_support {support} exceeds axis count {layout.count}")
-        return replace(self, bandwidth=bandwidth, min_support=support, noise_margin=margin)
+        return replace(self, bandwidth=bandwidth, min_support=support)
 
 
-def decode_scheme1(f_hat: np.ndarray, grid: ImageGrid, threshold: float) -> DetectionResult:
-    """Nonzero entries above the threshold, mapped back through
+def decode_scheme1(f_hat: np.ndarray, grid: ImageGrid) -> DetectionResult:
+    """Entries above 0.5, half a cell's value of 1, mapped back through
     index = x + h(y-1)."""
     f_hat = np.asarray(f_hat, dtype=np.float64)
     if f_hat.shape != (grid.n_pixels,):
         raise ValueError(
             f"signal shape {f_hat.shape} does not match grid pixels {grid.n_pixels}"
         )
-    index = np.flatnonzero((f_hat != 0) & (f_hat > threshold))
+    index = np.flatnonzero(f_hat > 0.5)
     x, y = index % grid.height + 1, index // grid.height + 1
     outside = np.flatnonzero(~grid.contains(x, y))
     if outside.size:
@@ -255,10 +250,11 @@ def decode_scheme2(
     Recover every axis's sparse signal (recover_rows solves the L blocks
     together in one batched run of recovery.solver) and back-project them
     to candidate points in one pass. Pooled candidates are noise-filtered
-    and mean-shift clustered; clusters with support >= min_support become
-    detections at the cluster mean. A non-converging axis is logged and
-    decoded with its best iterate rather than aborting the others. A
-    non-finite prediction is rejected before any solve.
+    at the layout's margin and mean-shift clustered; clusters with
+    support >= min_support become detections at the cluster mean. A
+    non-converging axis is logged and decoded with its best iterate rather
+    than aborting the others. A non-finite prediction is rejected before
+    any solve.
 
     diagnostics, when given, receives the decode's own arrays: the (L, N)
     recovered "signals", the per-axis "iterations" and "converged", the
@@ -290,7 +286,7 @@ def decode_scheme2(
             "decoding with their best iterates",
             stalled.size, layout.count, ",".join(map(str, stalled.tolist())),
         )
-    kept = filter_noise_candidates(candidates, layout.grid, params.noise_margin)
+    kept = filter_noise_candidates(candidates, layout.grid, layout.margin)
     clusters = meanshift_cluster(kept, params.bandwidth)
     points = [(cx, cy, support) for (cx, cy), support in clusters if support >= params.min_support]
     if diagnostics is not None:

@@ -96,7 +96,7 @@ def make_codec(config: PipelineConfig) -> Codec:
         layout = None
         cols = grid.n_pixels
     else:
-        layout = build_axis_layout(grid, enc.axes, enc.margin)
+        layout = build_axis_layout(grid, enc.axes)
         cols = layout.bin_count
     phi = make_sensing_matrix(enc.measurements, cols, config.run.matrix_seed)
     return Codec(grid=grid, layout=layout, phi=phi, scheme=enc.scheme)
@@ -127,7 +127,7 @@ def decode_signal(
     if not np.isfinite(code).all():
         raise ValueError("non-finite prediction")
     (f_hat,), _, _ = recover_rows(code, codec.phi, config.recovery)
-    return decode_scheme1(f_hat, codec.grid, config.decode.scheme1_threshold)
+    return decode_scheme1(f_hat, codec.grid)
 
 
 # ---------------------------------------------------------------- datasets
@@ -367,15 +367,16 @@ def ensemble_detection(
 ):
     """Run every configured offset on each image and merge its detections.
 
-    Returns (merged results, per-offset results, failures): per-offset
-    results are lists of run_detection's dicts, one list per offset, and
-    both hold only the images that every offset decoded. An image whose
-    pipeline raises stops at that offset and, as in run_detection, counts
-    as one failure logged on one line.
+    Returns (merged results, per-offset detections, failures): merged
+    results are run_detection's dicts, each matched against its image's
+    annotations, and per-offset detections hold one list of
+    DetectionResults per offset, unmatched, in the images' order. Both hold
+    only the images that every offset decoded. An image whose pipeline
+    raises stops at that offset and, as in run_detection, counts as one
+    failure logged on one line.
     """
     _warn_idle_offsets(config, images)
     offsets = config.patches.offsets
-    rho = config.evaluation.rho
     per_offset = [[] for _ in offsets]
     merged = []
     failures = 0
@@ -386,16 +387,13 @@ def ensemble_detection(
                               model, None)
                 for offset_index, offset in enumerate(offsets)
             ]
-            reports = [match_detections(detections, annotations, rho) for detections in sets]
         except Exception as exc:
             failures += 1
             _log_failure(image_id, exc)
             continue
-        for results, detections, report in zip(per_offset, sets, reports):
-            results.append(
-                {"id": image_id, "detections": detections, "report": report, "diagnostics": None}
-            )
+        for detections, found in zip(per_offset, sets):
+            detections.append(found)
         fused = merge_ensemble(sets, config.decode.merge_radius, config.decode.merge_min_count)
-        report = match_detections(fused, annotations, rho)
+        report = match_detections(fused, annotations, config.evaluation.rho)
         merged.append({"id": image_id, "detections": fused, "report": report, "diagnostics": None})
     return merged, per_offset, failures

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,26 +165,26 @@ def downsample_patch(patch: np.ndarray, edge: int) -> np.ndarray:
     return pooled.ravel() - 0.5
 
 
-def _initial_weights(rng: np.random.Generator, n_in: int, hidden: int, n_out: int) -> tuple:
-    """Scaled Gaussian (w1, b1, w2, b2): w1 is drawn before w2, zero biases."""
-    w1 = rng.normal(0.0, 1.0 / math.sqrt(n_in), (n_in, hidden))
-    w2 = rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, n_out))
-    return w1, np.zeros(hidden), w2, np.zeros(n_out)
-
-
 def init_model(
     input_edge: int,
     hidden: int,
     block_size: int,
     block_count: int,
     mtl_lambda: float,
-    seed: int,
+    seed: int | np.random.Generator,
 ) -> RegressorModel:
-    """Untrained model with the weights training starts from."""
+    """Untrained model with the weights training starts from: scaled
+    Gaussian w1 and w2, drawn in that order from default_rng(seed), and
+    zero biases. A Generator seed is drawn from directly, as default_rng
+    returns it unchanged."""
+    n_in = input_edge**2
     n_out = block_size * block_count + (1 if mtl_lambda > 0 else 0)
     rng = np.random.default_rng(seed)
     return RegressorModel(
-        *_initial_weights(rng, input_edge**2, hidden, n_out),
+        w1=rng.normal(0.0, 1.0 / math.sqrt(n_in), (n_in, hidden)),
+        b1=np.zeros(hidden),
+        w2=rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, n_out)),
+        b2=np.zeros(n_out),
         input_edge=input_edge,
         block_size=block_size,
         block_count=block_count,
@@ -226,9 +226,9 @@ def train_regressor(patches, codes, counts, params: PredictorParams, seed: int) 
     mtl_lambda * count only when mtl_lambda > 0.
 
     Returns (model, per-epoch mean losses). Deterministic for a fixed seed:
-    initialization and epoch shuffles come from one generator. Raises
-    ValueError at the end of the first epoch whose mean loss is not finite;
-    numpy's overflow warnings on the way there are silenced.
+    init_model's weights and the epoch shuffles come from one generator.
+    Raises ValueError at the end of the first epoch whose mean loss is not
+    finite; numpy's overflow warnings on the way there are silenced.
     """
     codes = np.asarray(codes, dtype=np.float64)
     if len(codes) == 0:
@@ -249,7 +249,8 @@ def train_regressor(patches, codes, counts, params: PredictorParams, seed: int) 
     y = y / scale
 
     rng = np.random.default_rng(seed)
-    w1, b1, w2, b2 = _initial_weights(rng, params.input_edge**2, params.hidden, y.shape[1])
+    model = init_model(params.input_edge, params.hidden, block_size, block_count, params.mtl_lambda, rng)
+    w1, b1, w2, b2 = model.w1, model.b1, model.w2, model.b2  # updated in place
 
     losses = []
     rate = params.learning_rate
@@ -274,17 +275,8 @@ def train_regressor(patches, codes, counts, params: PredictorParams, seed: int) 
                 )
             losses.append(epoch_loss / n)
 
-    model = RegressorModel(
-        w1=w1, b1=b1, w2=w2, b2=b2,
-        input_edge=params.input_edge,
-        block_size=block_size,
-        block_count=block_count,
-        mtl_lambda=params.mtl_lambda,
-        output_scale=scale,
-        epochs=params.epochs,
-        learning_rate=rate,
-        final_loss=losses[-1],
-    )
+    model = replace(model, output_scale=scale, epochs=params.epochs, learning_rate=rate,
+                    final_loss=losses[-1])
     return model, losses
 
 

@@ -54,6 +54,8 @@ _EQUALITY_FLOOR = 1e-9
 _HARD_FLOOR = 1e-4
 _LAMBDA_SHRINK = 0.2
 _PHASE_ITERATIONS = 25
+# OMP stops once its residual is within this fraction of ||y||
+_OMP_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -62,32 +64,26 @@ class RecoveryParams:
 
     solver: "bp" (basis pursuit) or "omp" (orthogonal matching pursuit).
     max_sparsity: active-set cap for OMP; None means ceil(M / (4 ln N)).
-    residual_tol: OMP's stopping residual, relative to ||y||; basis pursuit
-        does not read it and stops on noise_budget_frac instead.
     noise_budget_frac: basis pursuit's eps relative to the measurements,
         eps = frac * ||y||, so it needs no ||y|| up front.
     max_iterations: BP shrinkage iterations, and a second cap on OMP atoms.
-    shrinkage_step: step size as a fraction of 1 / ||Phi||^2.
+
+    OMP stops at a residual of 1e-8 ||y||; basis pursuit steps by
+    1 / ||Phi||^2 (FISTA's 1/L step).
     """
 
     solver: str = "bp"
     max_sparsity: int | None = None
-    residual_tol: float = 1e-8
     noise_budget_frac: float = 0.1
     max_iterations: int = 2000
-    shrinkage_step: float = 1.0
 
     def __post_init__(self):
         if self.solver not in ("bp", "omp"):
             raise ValueError(f"solver must be bp or omp, got {self.solver!r}")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.noise_budget_frac < 0:
             raise ValueError("noise_budget_frac must be >= 0")
-        if not 0 < self.shrinkage_step <= 1:
-            raise ValueError("shrinkage_step must be in (0, 1]")
         if self.max_sparsity is not None and self.max_sparsity < 1:
             raise ValueError("max_sparsity must be >= 1 when given")
 
@@ -142,7 +138,7 @@ def omp_recover_rows(
     """Orthogonal matching pursuit for every row of ys (rows, M) against one
     matrix: pick the column most correlated with the residual, refit the
     active set by least squares, repeat until the residual is within
-    residual_tol * ||y|| or the sparsity cap is hit.
+    1e-8 * ||y|| or the sparsity cap is hit.
 
     All live rows step together, so at step k every row holds k atoms: one
     residual-by-matrix product gives every row's correlations, and one
@@ -164,7 +160,7 @@ def omp_recover_rows(
     x = np.zeros((rows, n))
     iterations = np.zeros(rows, dtype=np.int64)
     converged = norm_y == 0.0
-    tol = params.residual_tol * norm_y
+    tol = _OMP_RESIDUAL_TOL * norm_y
     kmax = params.max_sparsity or default_max_sparsity(m, n)
     kmax = min(kmax, m, params.max_iterations)
 
@@ -401,7 +397,7 @@ def bp_recover_rows(
     budget = params.max_iterations
     while budget > 0 and active.size:
         this_phase = min(_PHASE_ITERATIONS, budget)
-        x = lasso_shrinkage(y_act, a, lam_act, params.shrinkage_step / phi.norm_sq, this_phase, x0=x)
+        x = lasso_shrinkage(y_act, a, lam_act, 1.0 / phi.norm_sq, this_phase, x0=x)
         budget -= this_phase
         iterations[active] += this_phase
         mag = np.abs(x)

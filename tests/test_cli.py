@@ -19,7 +19,8 @@ from csdetect.cli import entry
 from csdetect.config import ConfigError, RunConfig, default_config, load_config
 from csdetect.predictor import init_model, oracle_predict, save_model
 from csdetect.synthdata import extract_patches, save_pgm
-from csdetect.core import AnnotationSet, ImageGrid
+from csdetect.core import AnnotationSet, DetectionResult, ImageGrid
+from csdetect.decoder import merge_ensemble
 from csdetect.pipeline import (
     SALT_ORACLE,
     build_training_examples,
@@ -74,8 +75,7 @@ def test_config_lists_load_as_tuples_and_recovery_keeps_its_defaults(tmp_path):
     assert config.synth.cell_count == (1, 2)
     assert config.patches.offsets == (0,)
     assert dataclasses.asdict(default_config().recovery) == {
-        "solver": "bp", "max_sparsity": None, "residual_tol": 1e-8,
-        "noise_budget_frac": 0.1, "max_iterations": 2000, "shrinkage_step": 1.0,
+        "solver": "bp", "max_sparsity": None, "noise_budget_frac": 0.1, "max_iterations": 2000,
     }
 
 
@@ -106,9 +106,13 @@ def test_config_rejects_unknown_names(tmp_path):
         load_config(path)
     # detection runs in one thread: workers is no field, so no key
     assert [f.name for f in dataclasses.fields(RunConfig)] == ["seed", "matrix_seed"]
-    _write_config(path, {"run": {"workers": 2}})
-    with pytest.raises(ConfigError, match=r"unknown keys in 'run': \['workers'\]"):
-        load_config(path)
+    # settings with one value in use are constants, not keys
+    for section, key in (("run", "workers"), ("encoder", "margin"), ("decode", "noise_margin"),
+                         ("decode", "scheme1_threshold"), ("recovery", "residual_tol"),
+                         ("recovery", "shrinkage_step")):
+        _write_config(path, {section: {key: 1}})
+        with pytest.raises(ConfigError, match=rf"unknown keys in '{section}': \['{key}'\]"):
+            load_config(path)
 
 
 def test_config_rejects_bad_values(tmp_path):
@@ -181,8 +185,7 @@ def test_make_codec_schemes(tmp_path):
     assert codec.layout.count == 6
     assert codec.phi.rows == 12
     assert codec.phi.cols == codec.layout.bin_count
-    doc = dict(SMALL, encoder={"scheme": 1, "axes": 1, "measurements": 12},
-               decode={"scheme1_threshold": 0.5})
+    doc = dict(SMALL, encoder={"scheme": 1, "axes": 1, "measurements": 12}, decode={})
     flat = make_codec(load_config(_write_config(tmp_path / "c1.yaml", doc)))
     assert flat.layout is None
     assert flat.phi.cols == 32 * 32
@@ -337,8 +340,15 @@ def test_ensemble_warns_once_about_idle_offsets(tmp_path, caplog, width, offsets
     images = [(f"img{i}", np.zeros((width, width)), AnnotationSet(grid=grid, cells=((9.0, 9.0),)))
               for i in range(3)]
     with caplog.at_level(logging.WARNING, logger="csdetect.pipeline"):
-        merged, _, failures = ensemble_detection(config, make_codec(config), images)
+        merged, per_offset, failures = ensemble_detection(config, make_codec(config), images)
     assert failures == 0 and len(merged) == 3
+    # per offset, each image's unmatched detections, which merge into its merged row
+    assert [len(sets) for sets in per_offset] == [3] * len(offsets)
+    for i, row in enumerate(merged):
+        sets = [offset_sets[i] for offset_sets in per_offset]
+        assert all(isinstance(found, DetectionResult) for found in sets)
+        fused = merge_ensemble(sets, config.decode.merge_radius, config.decode.merge_min_count)
+        assert np.array_equal(row["detections"].points, fused.points)
     messages = [r.getMessage() for r in caplog.records if r.name == "csdetect.pipeline"]
     assert messages == ([expected] if expected else [])
 

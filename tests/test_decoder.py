@@ -42,16 +42,19 @@ def _random_cells(grid, k, min_sep, rng, pad=1.0):
 
 
 def test_decode_scheme1_threshold_above_max_is_empty():
+    # the threshold is 0.5, half a cell's value: only entries above it count
     grid = ImageGrid(4, 4)
     sig = np.zeros(16)
-    sig[5 - 1] = 0.8
-    assert len(decode_scheme1(sig, grid, threshold=0.9)) == 0
+    sig[[5 - 1, 6 - 1, 8 - 1]] = [0.4, 0.5, -1.0]
+    assert len(decode_scheme1(sig, grid)) == 0
+    sig[7 - 1] = 0.51
+    assert decode_scheme1(sig, grid).points.tolist() == [[3.0, 2.0, 1.0]]
 
 
 def test_decode_scheme1_inverts_the_index_rule():
     grid = ImageGrid(4, 4)
     ann = AnnotationSet(grid=grid, cells=((2.0, 3.0), (4.0, 1.0)))
-    detected = decode_scheme1(flatten_annotations(ann), grid, threshold=0.5)
+    detected = decode_scheme1(flatten_annotations(ann), grid)
     assert sorted(map(tuple, detected.coords().tolist())) == sorted(ann.cells)
 
 
@@ -64,7 +67,7 @@ def test_decode_scheme1_round_trip_through_both_solvers():
     truth = sorted((round(x), round(y_)) for x, y_ in ann.cells)
     for solver in (omp_recover, bp_recover):
         f_hat = solver(y[0], phi)
-        detected = decode_scheme1(f_hat, grid, threshold=0.0)
+        detected = decode_scheme1(f_hat, grid)
         assert sorted(map(tuple, detected.coords().tolist())) == truth
 
 
@@ -72,7 +75,7 @@ def test_decode_scheme1_rejects_length_mismatch():
     sig = np.zeros(10)
     sig[0] = 1.0
     with pytest.raises(ValueError):
-        decode_scheme1(sig, ImageGrid(4, 4), threshold=0.5)
+        decode_scheme1(sig, ImageGrid(4, 4))
 
 
 def test_backproject_axis_aligned_entry():
@@ -449,9 +452,9 @@ def test_meanshift_rejects_non_finite_candidates():
 def test_decode_params_resolution():
     layout = build_axis_layout(ImageGrid(24, 24), 8)
     params = DecodeParams().resolved(layout)
-    assert params.noise_margin == pytest.approx(layout.margin)
     assert params.bandwidth == pytest.approx(0.5 * layout.margin)
     assert params.min_support == 4
+    assert params == DecodeParams(bandwidth=0.5 * layout.margin, min_support=4)
     with pytest.raises(ValueError):
         DecodeParams(min_support=9).resolved(layout)
 

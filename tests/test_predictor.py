@@ -145,6 +145,21 @@ def test_training_is_deterministic():
     assert np.array_equal(a.b1, b.b1) and np.array_equal(a.b2, b.b2)
 
 
+def test_training_starts_from_init_model(monkeypatch):
+    rng = np.random.default_rng(8)
+    patches = [rng.uniform(size=(8, 8)) for _ in range(3)]
+    codes = rng.normal(size=(3, 2, 4))
+    params = PredictorParams(epochs=2, learning_rate=0.02, mtl_lambda=0.2, hidden=5,
+                             batch_size=2, input_edge=8)
+    # zero gradients: the trained weights are the ones training started from
+    monkeypatch.setattr(predictor, "loss_and_gradients",
+                        lambda *args: (1.0, tuple(np.zeros_like(w) for w in args[:4])))
+    model, _ = train_regressor(patches, codes, [1, 2, 3], params, 4)
+    start = init_model(8, 5, 4, 2, mtl_lambda=0.2, seed=4)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(model, name), getattr(start, name))
+
+
 def test_training_validates_inputs():
     params = PredictorParams(epochs=1, learning_rate=0.1, mtl_lambda=0.0, input_edge=8)
     with pytest.raises(ValueError, match="at least one"):

@@ -35,13 +35,9 @@ def test_params_validation():
     with pytest.raises(ValueError, match="solver must be bp or omp, got 'lp'"):
         RecoveryParams(solver="lp")
     with pytest.raises(ValueError):
-        RecoveryParams(residual_tol=0.0)
-    with pytest.raises(ValueError):
         RecoveryParams(max_iterations=0)
     with pytest.raises(ValueError):
         RecoveryParams(noise_budget_frac=-1.0)
-    with pytest.raises(ValueError):
-        RecoveryParams(shrinkage_step=1.5)
     with pytest.raises(ValueError):
         RecoveryParams(max_sparsity=0)
 
@@ -96,7 +92,7 @@ def _omp_one_at_a_time(y, phi, params):
     norm_y = float(np.linalg.norm(y))
     if norm_y == 0.0:
         return x, 0, True, []
-    tol = params.residual_tol * norm_y
+    tol = 1e-8 * norm_y
     kmax = min(params.max_sparsity or default_max_sparsity(m, n), m, params.max_iterations)
     active = []
     coeffs = np.zeros(0)
@@ -534,7 +530,7 @@ def _bp_to_the_cap(y, phi, params):
     eps = max(params.noise_budget_frac, 1e-9) * norm_y
     lam = 0.25 * float(np.max(np.abs(a.T @ y)))
     lam_floor = 1e-12 * lam if lam > 0 else 1.0
-    step = params.shrinkage_step / operator_norm_sq(a)
+    step = 1.0 / operator_norm_sq(a)
     x = np.zeros((1, n))
     best, best_residual = None, np.inf
     iterations, converged = 0, False
