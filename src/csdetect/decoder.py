@@ -252,9 +252,11 @@ def decode_scheme2(
     to candidate points in one pass. Pooled candidates are noise-filtered
     at the layout's margin and mean-shift clustered; clusters with
     support >= min_support become detections at the cluster mean. A
-    non-converging axis is logged and decoded with its best iterate rather
-    than aborting the others. A non-finite prediction is rejected before
-    any solve.
+    non-converging axis is decoded with its best iterate rather than
+    aborting the others; under basis pursuit it is also logged as a
+    warning (OMP's stop rule is not met by noisy codes, so an OMP stall is
+    only reported in diagnostics). A non-finite prediction is rejected
+    before any solve.
 
     diagnostics, when given, receives the decode's own arrays: the (L, N)
     recovered "signals", the per-axis "iterations" and "converged", the
@@ -280,7 +282,9 @@ def decode_scheme2(
     rows, bins = np.nonzero(x)  # row-major: axis order, then bin order within an axis
     candidates = _votes(layout.geometry[rows], bins + 1, x[rows, bins])
     stalled = np.flatnonzero(~converged) + 1
-    if stalled.size:
+    # only basis pursuit's budget is noise-aware: OMP's 1e-8 * ||y|| stop
+    # rule cannot be met on a noisy code, so its stall says nothing
+    if stalled.size and recovery.solver == "bp":
         log.warning(
             "%d of %d axes stopped above the recovery tolerance (axes %s); "
             "decoding with their best iterates",
@@ -303,6 +307,9 @@ def merge_ensemble(detection_sets, merge_radius: float = 9.0, merge_min_count: i
     x, then y). A group of at least merge_min_count detections is emitted
     as its average; a smaller group just consumes its seed. Result order
     and content are independent of the order of the input sets.
+
+    The neighbor matrix of the pool is built once; each pass subtracts the
+    consumed detections from every detection's neighbor count.
     """
     if merge_min_count < 1:
         raise ValueError("merge_min_count must be >= 1")
@@ -312,21 +319,21 @@ def merge_ensemble(detection_sets, merge_radius: float = 9.0, merge_min_count: i
     if not len(pts):
         return DetectionResult()
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    alive = np.ones(len(pts), dtype=bool)
     r2 = merge_radius * merge_radius
+    within = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2) <= r2
+    counts = within.sum(axis=1)
+    alive = np.ones(len(pts), dtype=bool)
     merged = []
     while alive.any():
         live_idx = np.flatnonzero(alive)
-        live = pts[live_idx]
-        d2 = np.sum((live[:, None, :] - live[None, :, :]) ** 2, axis=2)
-        counts = np.sum(d2 <= r2, axis=1)
-        seed = int(np.argmax(counts))  # pool is (x, y)-sorted, so first max wins ties
-        group = live_idx[d2[seed] <= r2]
+        seed = live_idx[np.argmax(counts[live_idx])]  # pool is (x, y)-sorted, so first max wins ties
         if counts[seed] >= merge_min_count:
-            gx, gy = pts[group].mean(axis=0)
+            consumed = np.flatnonzero(alive & within[seed])
+            gx, gy = pts[consumed].mean(axis=0)
             merged.append((gx, gy, counts[seed]))
-            alive[group] = False
         else:
-            alive[live_idx[seed]] = False
+            consumed = np.array([seed])
+        alive[consumed] = False
+        counts -= within[:, consumed].sum(axis=1)
     merged.sort(key=lambda row: row[:2])
     return DetectionResult(merged)

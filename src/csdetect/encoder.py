@@ -157,20 +157,22 @@ def _axis_signals(annotations: AnnotationSet, geometry: np.ndarray, bins: int) -
     wins; the others are still seen by other lines.
     """
     cells = annotations.coords()
+    # cells in (x, y) order, so the stable sort below breaks |d| ties by (x, y)
+    cells = cells[np.lexsort((cells[:, 1], cells[:, 0]))]
     r, d = _project_cells(cells, geometry, bins)
-    k, n = r.shape
-    pos = np.tile(np.arange(n), k)
-    r, d = r.ravel(), d.ravel()
-    order = np.lexsort((np.repeat(cells[:, 1], n), np.repeat(cells[:, 0], n), np.abs(d), r, pos))
-    pos, r, d = pos[order], r[order], d[order]
+    n = geometry.shape[0]
+    slot = (r - 1 + bins * np.arange(n)).ravel()  # flat index into (n, bins)
+    d = d.ravel()
+    order = np.lexsort((np.abs(d), slot))
+    slot, d = slot[order], d[order]
     first = np.ones(order.size, dtype=bool)
-    first[1:] = (pos[1:] != pos[:-1]) | (r[1:] != r[:-1])
-    pos, r, d = pos[first], r[first], d[first]
+    first[1:] = slot[1:] != slot[:-1]
+    slot, d = slot[first], d[first]
     if not (d.all() and np.isfinite(d).all()):
         raise ValueError("a cell lies on an observation axis: stored distances must be nonzero and finite")
-    signals = np.zeros((n, bins))
-    signals[pos, r - 1] = d
-    return signals
+    signals = np.zeros(n * bins)
+    signals[slot] = d
+    return signals.reshape(n, bins)
 
 
 def axis_signals(annotations: AnnotationSet, layout: AxisLayout) -> np.ndarray:
@@ -188,12 +190,15 @@ def encode_scheme2(annotations: AnnotationSet, layout: AxisLayout, phi: SensingM
     """Project every axis signal: block i of the (L, M) result encodes
     axis i of the layout.
 
-    Each row of axis_signals is projected on its own, because one matrix
-    product for all rows would sum in another order and change the last
-    bits.
+    All axes are projected in one batched product, Phi applied to a stack
+    of (N, 1) column signals. numpy runs it as one matrix-vector product
+    per axis, the same one project() makes, so every block has project()'s
+    bits; a single Phi @ signals.T matrix product would sum in another
+    order and change the last bits.
     """
     if layout.bin_count != phi.cols:
         raise ValueError(
             f"layout has {layout.bin_count} bins, matrix expects signals of length {phi.cols}"
         )
-    return np.stack([project(phi, row) for row in axis_signals(annotations, layout)])
+    signals = axis_signals(annotations, layout)
+    return np.matmul(phi.entries, signals[:, :, None])[:, :, 0]

@@ -1,5 +1,7 @@
 """Decoding: map inversion, back-projection, clustering, ensemble merging."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -620,6 +622,67 @@ def test_decode_scheme2_rejects_non_finite_solver_output(monkeypatch, solver):
     monkeypatch.setattr(recovery, f"{solver}_recover_rows", nan_solve)
     with pytest.raises(ValueError, match="candidate coordinates must be finite"):
         decode_scheme2(y_hat, layout, phi, recovery=RecoveryParams(solver=solver))
+
+
+@pytest.mark.parametrize("solver, max_iterations, warnings", [("omp", 2000, 0), ("bp", 1, 1)])
+def test_decode_scheme2_warns_about_stalled_axes_only_under_bp(caplog, solver, max_iterations, warnings):
+    grid = ImageGrid(130, 130)
+    layout = build_axis_layout(grid, 27)
+    phi = make_sensing_matrix(112, layout.bin_count, seed=4)
+    ann = AnnotationSet(grid=grid, cells=((40.0, 50.0), (90.0, 70.0), (65.0, 100.0)))
+    y_hat = oracle_predict(encode_scheme2(ann, layout, phi), 0.3, seed=1)
+    diagnostics = {}
+    with caplog.at_level(logging.WARNING, logger="csdetect.decoder"):
+        decode_scheme2(y_hat, layout, phi, recovery=RecoveryParams(solver=solver, max_iterations=max_iterations),
+                       diagnostics=diagnostics)
+    assert not diagnostics["converged"].any()  # the stalls still reach diagnostics
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        "27 of 27 axes stopped above the recovery tolerance (axes %s); decoding with their best iterates"
+        % ",".join(map(str, range(1, 28)))
+    ] * warnings
+
+
+def _merge_pass_by_pass(detection_sets, merge_radius, merge_min_count):
+    """Reference: every pass recomputes the pairwise distances of the live
+    detections and their neighbor counts from scratch."""
+    pts = np.concatenate([np.zeros((0, 2)), *(result.coords() for result in detection_sets)])
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    alive = np.ones(len(pts), dtype=bool)
+    merged = []
+    while alive.any():
+        live_idx = np.flatnonzero(alive)
+        live = pts[live_idx]
+        d2 = np.sum((live[:, None, :] - live[None, :, :]) ** 2, axis=2)
+        counts = np.sum(d2 <= merge_radius * merge_radius, axis=1)
+        seed = int(np.argmax(counts))
+        group = live_idx[d2[seed] <= merge_radius * merge_radius]
+        if counts[seed] >= merge_min_count:
+            gx, gy = pts[group].mean(axis=0)
+            merged.append((gx, gy, counts[seed]))
+            alive[group] = False
+        else:
+            alive[live_idx[seed]] = False
+    merged.sort(key=lambda row: row[:2])
+    return DetectionResult(merged)
+
+
+# whole numbers put pairs at exactly the radius and detections on one spot
+_merge_coord = st.one_of(st.integers(0, 12).map(float), st.floats(0.0, 12.0, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sets=st.lists(st.lists(st.tuples(_merge_coord, _merge_coord), max_size=8), min_size=1, max_size=9),
+    merge_radius=st.sampled_from((1.0, 2.0, 3.5)),
+    merge_min_count=st.integers(1, 7),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_merge_ensemble_matches_the_pass_by_pass_merge(sets, merge_radius, merge_min_count, shuffle):
+    results = [DetectionResult([(x, y, 1) for x, y in points]) for points in sets]
+    want = _merge_pass_by_pass(results, merge_radius, merge_min_count)
+    assert np.array_equal(merge_ensemble(results, merge_radius, merge_min_count).points, want.points)
+    shuffle.shuffle(results)
+    assert np.array_equal(merge_ensemble(results, merge_radius, merge_min_count).points, want.points)
 
 
 def test_merge_ensemble_below_count_is_discarded():

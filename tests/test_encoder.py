@@ -316,3 +316,29 @@ def test_axis_signal_matches_one_cell_at_a_time_property(cells, axis_count):
     _assert_same_signals(ann, _CROSSING_AXIS, 9)
     layout = build_axis_layout(grid, axis_count)
     _assert_same_layout_signals(ann, layout, make_sensing_matrix(6, layout.bin_count, seed=2))
+
+
+def _shipped_layout(edge):
+    """27 axes and 112 measurements per axis around an edge x edge patch."""
+    layout = build_axis_layout(ImageGrid(edge, edge), 27)
+    return layout, make_sensing_matrix(112, layout.bin_count, seed=edge)
+
+
+# the default 260-px patch and the 130-px one of the OMP ensemble benchmark
+_SHIPPED_LAYOUTS = {edge: _shipped_layout(edge) for edge in (260, 130)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge=st.sampled_from(sorted(_SHIPPED_LAYOUTS)), data=st.data())
+def test_scheme2_is_project_on_every_axis_property(edge, data):
+    layout, phi = _SHIPPED_LAYOUTS[edge]
+    coord = st.floats(1.0, float(edge), allow_nan=False)
+    cells = data.draw(st.sets(st.tuples(coord, coord), min_size=1, max_size=20))
+    x, y = min(cells)
+    twin = (x, data.draw(coord.filter(lambda v: v != y)))
+    # the twin shares x, so the first axis (direction (1, 0)) bins both together
+    bins, _ = _project_cells(np.array([(x, y), twin]), layout.geometry[:1], layout.bin_count)
+    assert bins[0, 0] == bins[1, 0]
+    ann = AnnotationSet(grid=layout.grid, cells=tuple(cells | {twin}))
+    want = np.stack([project(phi, row) for row in axis_signals(ann, layout)])
+    assert np.array_equal(encode_scheme2(ann, layout, phi), want)

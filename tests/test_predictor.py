@@ -1,6 +1,7 @@
 """Signal predictors: noisy oracle, trainable regressor and its count channel."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -53,6 +54,28 @@ def test_oracle_is_seeded():
     c = oracle_predict(y, sigma_rel=0.1, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _oracle_one_block_norm_at_a_time(y_true, sigma_rel, seed):
+    """Reference: each block's norm from its own dot product and the noise
+    from one normal draw with a per-block scale array."""
+    blocks = np.asarray(y_true, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    scale = sigma_rel / math.sqrt(blocks.shape[1])
+    norms = np.sqrt([block.dot(block) for block in blocks])
+    return blocks + rng.normal(0.0, scale * norms[:, None], blocks.shape)
+
+
+@pytest.mark.parametrize("sigma_rel", [0.0, 0.05, 0.7])
+@pytest.mark.parametrize("shape", [(27, 112), (3, 1), (1, 7)])
+def test_oracle_matches_the_per_block_formulas(sigma_rel, shape):
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=shape) * rng.uniform(0.0, 40.0, size=(shape[0], 1))
+    y[shape[0] // 2] = 0.0
+    for seed in range(4):
+        noisy = oracle_predict(y, sigma_rel, seed)
+        assert np.array_equal(noisy, _oracle_one_block_norm_at_a_time(y, sigma_rel, seed))
+        assert np.array_equal(noisy[shape[0] // 2], np.zeros(shape[1]))  # a zero block stays zero
 
 
 def test_oracle_noise_level_concentrates():
