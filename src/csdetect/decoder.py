@@ -299,7 +299,7 @@ def decode_scheme2(
     return DetectionResult(points)
 
 
-def merge_ensemble(detection_sets, merge_radius: float = 9.0, merge_min_count: int = 6) -> DetectionResult:
+def merge_ensemble(detection_sets, merge_radius: float, merge_min_count: int) -> DetectionResult:
     """Fuse detections from several runs of the same image.
 
     Pools everything, then repeatedly seeds on the unconsumed detection

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import AnnotationSet, ImageGrid, round_half_up
-from .sensing import SensingMatrix, project
+from .sensing import SensingMatrix
 
 __all__ = [
     "AxisLayout",
@@ -74,7 +74,7 @@ def encode_scheme1(annotations: AnnotationSet, phi: SensingMatrix) -> np.ndarray
         raise ValueError(
             f"matrix expects signals of length {phi.cols}, grid gives {f.size}"
         )
-    return project(phi, f)[None, :]
+    return (phi.entries @ f)[None, :]
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,9 @@ class AxisLayout:
         return geometry
 
 
-def build_axis_layout(grid: ImageGrid, count: int, margin: float | None = None) -> AxisLayout:
-    """The layout of `count` axes around `grid`; margin None means
-    default_margin(grid)."""
-    return AxisLayout(grid=grid, count=count, margin=default_margin(grid) if margin is None else margin)
+def build_axis_layout(grid: ImageGrid, count: int) -> AxisLayout:
+    """The layout of `count` axes around `grid`, default_margin(grid) away."""
+    return AxisLayout(grid=grid, count=count, margin=default_margin(grid))
 
 
 def _project_cells(cells: np.ndarray, geometry: np.ndarray, bin_count: int) -> tuple:
@@ -192,9 +191,9 @@ def encode_scheme2(annotations: AnnotationSet, layout: AxisLayout, phi: SensingM
 
     All axes are projected in one batched product, Phi applied to a stack
     of (N, 1) column signals. numpy runs it as one matrix-vector product
-    per axis, the same one project() makes, so every block has project()'s
-    bits; a single Phi @ signals.T matrix product would sum in another
-    order and change the last bits.
+    per axis, so every block has the bits of Phi @ signal for its axis;
+    a single Phi @ signals.T matrix product would sum in another order and
+    change the last bits.
     """
     if layout.bin_count != phi.cols:
         raise ValueError(

@@ -280,10 +280,64 @@ def _detect_image(
     return DetectionResult(np.concatenate(rows) if rows else ())
 
 
-def _log_failure(image_id, exc: Exception) -> None:
-    """One line with the reason; an exception other than ValueError (bad
-    data or a bad prediction) adds its traceback."""
-    log.error("image %s failed: %s", image_id, exc, exc_info=not isinstance(exc, ValueError))
+def _warn_idle_offsets(config: PipelineConfig, images, offsets, merge: bool) -> None:
+    """Log one warning when an offset tiles no patch on any image (partial
+    tiles are dropped, so it needs images of at least offset + patch size)
+    or, when merging, when fewer offsets contribute than a merged detection
+    needs."""
+    if not images:
+        return
+    size = config.patches.size
+    shapes = sorted({image.shape for _, image, _ in images})
+    idle = [off for off in offsets if all(off + size > min(shape) for shape in shapes)]
+    contributing = len(offsets) - len(idle)
+    need = config.decode.merge_min_count if merge else 0
+    problems = []
+    if idle:
+        sizes = ", ".join(f"{w}x{h}" for h, w in shapes)
+        problems.append(
+            f"offsets {','.join(map(str, idle))} tile no {size}-px patch on {sizes} images"
+        )
+    if contributing < need:
+        problems.append(
+            f"{contributing} of {len(offsets)} offsets contribute detections, fewer than "
+            f"the {need} (decode.merge_min_count) a merged detection needs"
+        )
+    if problems:
+        log.warning("%s: %s", "ensemble" if merge else "run", "; ".join(problems))
+
+
+def _detect_images(config: PipelineConfig, codec: Codec, images, model: RegressorModel | None,
+                   offsets, merge: bool, collect_diagnostics: bool) -> tuple:
+    """(results, per-offset detections, failures) over every image at every
+    offset; an image's detections are its offsets' sets merged, or without
+    merge its first offset's set. An image whose pipeline raises anywhere is
+    one failure, logged on one line, and is in neither list."""
+    _warn_idle_offsets(config, images, offsets, merge)
+    results = []
+    per_offset = [[] for _ in offsets]
+    failures = 0
+    for index, (image_id, image, annotations) in enumerate(images):
+        records = [] if collect_diagnostics else None
+        try:
+            sets = [
+                _detect_image(config, codec, index, image, annotations, offset_index, offset,
+                              model, records)
+                for offset_index, offset in enumerate(offsets)
+            ]
+            detections = (
+                merge_ensemble(sets, config.decode.merge_radius, config.decode.merge_min_count)
+                if merge else sets[0]
+            )
+            report = match_detections(detections, annotations, config.evaluation.rho)
+        except Exception as exc:
+            failures += 1
+            log.error("image %s failed: %s", image_id, exc, exc_info=not isinstance(exc, ValueError))
+            continue
+        for found, offset_sets in zip(sets, per_offset):
+            offset_sets.append(found)
+        results.append({"id": image_id, "detections": detections, "report": report, "diagnostics": records})
+    return results, per_offset, failures
 
 
 def run_detection(
@@ -299,7 +353,8 @@ def run_detection(
     (id, detections, report, diagnostics) in input order and failures
     counts images whose pipeline raised, each logged as one line with the
     reason; an exception other than ValueError (bad data or a bad
-    prediction) adds its traceback.
+    prediction) adds its traceback. An offset that tiles no patch on any
+    image is logged as one warning.
     With collect_diagnostics, an image's diagnostics is one record of arrays
     per patch: its offset, its origin, its (n, 3) votes (x, y, |d|) in image
     coordinates before the noise filter, and each vote's 0-based axis
@@ -312,51 +367,10 @@ def run_detection(
             f"diagnostics record the axis route's per-axis solves and need "
             f"encoder.scheme 2, got encoder.scheme {codec.scheme}"
         )
-    offset = config.patches.offsets[0]
-    results = []
-    failures = 0
-    for index, (image_id, image, annotations) in enumerate(images):
-        records = [] if collect_diagnostics else None
-        try:
-            detections = _detect_image(
-                config, codec, index, image, annotations, 0, offset, model, records
-            )
-            report = match_detections(detections, annotations, config.evaluation.rho)
-            results.append(
-                {"id": image_id, "detections": detections, "report": report, "diagnostics": records}
-            )
-        except Exception as exc:
-            failures += 1
-            _log_failure(image_id, exc)
+    results, _, failures = _detect_images(
+        config, codec, images, model, config.patches.offsets[:1], False, collect_diagnostics
+    )
     return results, failures
-
-
-def _warn_idle_offsets(config: PipelineConfig, images) -> None:
-    """Log one warning when an offset tiles no patch on any image (partial
-    tiles are dropped, so it needs images of at least offset + patch size)
-    or when fewer offsets contribute than a merged detection needs."""
-    if not images:
-        return
-    size = config.patches.size
-    offsets = config.patches.offsets
-    shapes = sorted({image.shape for _, image, _ in images})
-    idle = [off for off in offsets if all(off + size > min(shape) for shape in shapes)]
-    contributing = len(offsets) - len(idle)
-    need = config.decode.merge_min_count
-    if not idle and contributing >= need:
-        return
-    problems = []
-    if idle:
-        sizes = ", ".join(f"{w}x{h}" for h, w in shapes)
-        problems.append(
-            f"offsets {','.join(map(str, idle))} tile no {size}-px patch on {sizes} images"
-        )
-    if contributing < need:
-        problems.append(
-            f"{contributing} of {len(offsets)} offsets contribute detections, fewer than "
-            f"the {need} (decode.merge_min_count) a merged detection needs"
-        )
-    log.warning("ensemble: %s", "; ".join(problems))
 
 
 def ensemble_detection(
@@ -371,29 +385,9 @@ def ensemble_detection(
     results are run_detection's dicts, each matched against its image's
     annotations, and per-offset detections hold one list of
     DetectionResults per offset, unmatched, in the images' order. Both hold
-    only the images that every offset decoded. An image whose pipeline
-    raises stops at that offset and, as in run_detection, counts as one
-    failure logged on one line.
+    only the images whose every offset, merge and match succeeded. An image
+    whose pipeline raises counts, as in run_detection, as one failure
+    logged on one line. One warning names the offsets that tile no patch
+    and says when fewer offsets contribute than decode.merge_min_count.
     """
-    _warn_idle_offsets(config, images)
-    offsets = config.patches.offsets
-    per_offset = [[] for _ in offsets]
-    merged = []
-    failures = 0
-    for index, (image_id, image, annotations) in enumerate(images):
-        try:
-            sets = [
-                _detect_image(config, codec, index, image, annotations, offset_index, offset,
-                              model, None)
-                for offset_index, offset in enumerate(offsets)
-            ]
-        except Exception as exc:
-            failures += 1
-            _log_failure(image_id, exc)
-            continue
-        for detections, found in zip(per_offset, sets):
-            detections.append(found)
-        fused = merge_ensemble(sets, config.decode.merge_radius, config.decode.merge_min_count)
-        report = match_detections(fused, annotations, config.evaluation.rho)
-        merged.append({"id": image_id, "detections": fused, "report": report, "diagnostics": None})
-    return merged, per_offset, failures
+    return _detect_images(config, codec, images, model, config.patches.offsets, True, False)

@@ -11,7 +11,8 @@ implementations:
   mini-batch gradient descent. With mtl_lambda > 0 it also learns
   lambda * cell_count as one extra output, which prediction drops.
 
-Any callable with the predict() signature can replace these.
+The pipeline runs one of the two, chosen by predictor.mode (oracle or
+trained).
 PredictorParams is the `predictor:` config section.
 """
 
@@ -132,14 +133,6 @@ class RegressorModel:
             )
         if self.w1.shape[0] != self.input_edge**2:
             raise ValueError("w1 rows must equal input_edge**2")
-
-    @property
-    def hidden_size(self) -> int:
-        return int(self.w1.shape[1])
-
-    @property
-    def output_size(self) -> int:
-        return int(self.w2.shape[1])
 
 
 def downsample_patch(patch: np.ndarray, edge: int) -> np.ndarray:
@@ -299,8 +292,8 @@ def save_model(model: RegressorModel, path) -> None:
         fh.write(
             _MODEL_HEADER.pack(
                 model.input_edge,
-                model.hidden_size,
-                model.output_size,
+                model.w1.shape[1],
+                model.w2.shape[1],
                 model.block_size,
                 model.block_count,
                 model.epochs,

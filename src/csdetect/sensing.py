@@ -19,7 +19,6 @@ __all__ = [
     "RipReport",
     "make_sensing_matrix",
     "operator_norm_sq",
-    "project",
     "empirical_rip_check",
 ]
 
@@ -103,16 +102,6 @@ def operator_norm_sq(a: np.ndarray, iterations: int = 16) -> float:
             return 1.0
         v = w / est
     return 1.1 * est
-
-
-def project(phi: SensingMatrix, signal: np.ndarray) -> np.ndarray:
-    """Apply the projection: y = Phi @ signal."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.shape != (phi.cols,):
-        raise ValueError(
-            f"signal shape {signal.shape} does not match matrix columns {phi.cols}"
-        )
-    return phi.entries @ signal
 
 
 def empirical_rip_check(

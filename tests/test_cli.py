@@ -353,6 +353,48 @@ def test_ensemble_warns_once_about_idle_offsets(tmp_path, caplog, width, offsets
     assert messages == ([expected] if expected else [])
 
 
+def test_run_warns_once_about_an_idle_offset(tmp_path, caplog):
+    doc = dict(SMALL, patches={"size": 32, "offsets": [10, 0]})
+    config = load_config(_write_config(tmp_path / "c.yaml", doc))
+    grid = ImageGrid(32, 32)
+    images = [(f"img{i}", np.zeros((32, 32)), AnnotationSet(grid=grid, cells=((9.0, 9.0),)))
+              for i in range(3)]
+    with caplog.at_level(logging.WARNING, logger="csdetect.pipeline"):
+        results, failures = run_detection(config, make_codec(config), images)
+    assert failures == 0
+    assert [len(row["detections"]) for row in results] == [0, 0, 0]  # no patch, no detection
+    # run uses only the first offset and merges nothing, so no merge_min_count clause
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "run: offsets 10 tile no 32-px patch on 32x32 images")
+    ]
+
+
+def test_ensemble_counts_an_image_whose_merge_raises_as_one_failure(tmp_path, caplog, monkeypatch):
+    doc = dict(SMALL, patches={"size": 32, "offsets": [0, 8]})
+    config = load_config(_write_config(tmp_path / "c.yaml", doc))
+    grid = ImageGrid(40, 40)
+    images = [(f"img{i}", np.zeros((40, 40)), AnnotationSet(grid=grid, cells=((9.0, 9.0),)))
+              for i in range(3)]
+    calls = []
+
+    def merge_but_the_second(sets, merge_radius, merge_min_count):
+        calls.append(len(sets))
+        if len(calls) == 2:
+            raise RuntimeError("merge broke")
+        return merge_ensemble(sets, merge_radius, merge_min_count)
+
+    monkeypatch.setattr(pipeline, "merge_ensemble", merge_but_the_second)
+    with caplog.at_level(logging.ERROR, logger="csdetect.pipeline"):
+        merged, per_offset, failures = ensemble_detection(config, make_codec(config), images)
+    assert calls == [2, 2, 2]
+    assert failures == 1
+    assert [row["id"] for row in merged] == ["img0", "img2"]
+    assert [len(sets) for sets in per_offset] == [2, 2]
+    (record,) = caplog.records
+    assert (record.levelname, record.getMessage()) == ("ERROR", "image img1 failed: merge broke")
+    assert isinstance(record.exc_info[1], RuntimeError)
+
+
 # ---------------------------------------------------------------------- CLI
 
 

@@ -19,6 +19,7 @@ from csdetect.decoder import (
     merge_ensemble,
 )
 from csdetect.encoder import (
+    AxisLayout,
     axis_signals,
     build_axis_layout,
     encode_scheme1,
@@ -31,7 +32,7 @@ from csdetect.sensing import make_sensing_matrix
 
 # one horizontal axis under a 3x4 grid (diagonal 5, so 5 bins) with origin
 # (-1, -0.5), direction (1, 0) and normal (-0.0, 1): every vote is exact
-ONE_AXIS = build_axis_layout(ImageGrid(3, 4), 1, margin=0.5)
+ONE_AXIS = AxisLayout(ImageGrid(3, 4), 1, 0.5)
 
 
 def _random_cells(grid, k, min_sep, rng, pad=1.0):
@@ -131,7 +132,7 @@ def test_backproject_validation():
     for i in (-1, 1):
         with pytest.raises(ValueError, match="outside a layout of 1 axes"):
             backproject_axis(np.zeros(5), ONE_AXIS, i)
-    far = build_axis_layout(ImageGrid(3, 4), 1, margin=1e308)  # origin y = 2.5 - (2.5 + 1e308)
+    far = AxisLayout(ImageGrid(3, 4), 1, 1e308)  # origin y = 2.5 - (2.5 + 1e308)
     huge = np.zeros(5)
     huge[2 - 1] = -1.7e308
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):

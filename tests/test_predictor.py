@@ -37,7 +37,7 @@ def test_training_label_layout():
         params = PredictorParams(epochs=1, learning_rate=0.01, mtl_lambda=lam, hidden=4,
                                  batch_size=2, input_edge=4)
         model, _ = train_regressor(patches, codes, counts, params, 0)
-        assert model.output_size == labels.shape[1]
+        assert model.w2.shape[1] == labels.shape[1]
         assert (model.block_count, model.block_size) == (3, 4)
         assert model.output_scale == float(np.sqrt(np.mean(labels**2)))
 
@@ -112,9 +112,9 @@ def test_downsample_reads_uint8_levels_as_level_over_255(side, edge):
 def test_model_shape_validation():
     model = init_model(input_edge=4, hidden=6, block_size=3, block_count=2, mtl_lambda=0.2, seed=0)
     assert model.w1.shape == (16, 6)  # input_edge**2 inputs
-    assert model.output_size == 7  # 6 signal entries + count channel
+    assert model.w2.shape[1] == 7  # 6 signal entries + count channel
     no_count = init_model(4, 6, 3, 2, mtl_lambda=0.0, seed=0)
-    assert no_count.output_size == 6
+    assert no_count.w2.shape[1] == 6
     with pytest.raises(ValueError, match="non-finite"):
         dataclasses.replace(model, w1=np.full((16, 6), np.nan))
     with pytest.raises(ValueError):

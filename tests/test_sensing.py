@@ -1,4 +1,4 @@
-"""Sensing matrices: generation, projection, isometry."""
+"""Sensing matrices: generation and isometry."""
 
 import math
 
@@ -9,7 +9,6 @@ from csdetect.sensing import (
     SensingMatrix,
     empirical_rip_check,
     make_sensing_matrix,
-    project,
 )
 
 
@@ -37,14 +36,6 @@ def test_projection_must_compress():
         make_sensing_matrix(0, 50, seed=0)
     with pytest.raises(ValueError):
         SensingMatrix(entries=np.ones((3, 2)), seed=0)
-
-
-def test_project_matches_matmul():
-    phi = make_sensing_matrix(6, 20, seed=2)
-    x = np.random.default_rng(0).normal(size=20)
-    assert np.allclose(project(phi, x), phi.entries @ x)
-    with pytest.raises(ValueError):
-        project(phi, np.ones(19))
 
 
 def test_rip_orthonormal_matrix_is_exact_isometry():
