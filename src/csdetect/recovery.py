@@ -21,7 +21,12 @@ decoding routes call.
   and is handled with a tiny internal floor. A row stops once a refit is
   inside its budget, or once its support is wider than M after it already
   holds a refit (no further refit is possible), as continuation solvers
-  stop early (Hale, Yin & Zhang 2008, fixed-point continuation).
+  stop early (Hale, Yin & Zhang 2008, fixed-point continuation). The
+  shrinkage only finds the support, so it runs in float32 on rows scaled
+  by an exact power of two (||y|| 2**-e in [0.5, 1)); the cleaning, the
+  refits and their residuals are float64 against the unscaled rows, and
+  the answer is the float64 refit. A row that never gets a refit returns
+  its last float32 iterate, scaled back and widened to float64.
 
 Both treat residual tolerances relative to ||y|| so recovery commutes with
 positive rescaling of the measurements.
@@ -245,10 +250,17 @@ def lasso_shrinkage(
     objective, the three-term momentum), so the iterates are == to its
     iterates; only the sign of a zero entry can differ.
 
-    Returns x, (rows, N). Every row's objective is non-increasing from one
-    iterate to the next. Neither ys, lam nor x0 is written to.
+    The iteration computes in the dtype of a, a float matrix: ys, lam,
+    step and x0 are cast to it, and the products by A^T go through one
+    C-contiguous copy of A^T. bp_recover_rows passes a float32 a and rows
+    scaled by a power of two.
+
+    Returns x, (rows, N), in a's dtype. Every row's objective is
+    non-increasing from one iterate to the next. Neither ys, lam nor x0 is
+    written to.
     """
-    ys = np.asarray(ys, dtype=np.float64)
+    dtype = a.dtype
+    ys = np.asarray(ys, dtype=dtype)
     if ys.ndim != 2:
         raise ValueError(f"measurement stack {ys.shape} is not 2-D")
     rows, n = ys.shape[0], a.shape[1]
@@ -256,15 +268,18 @@ def lasso_shrinkage(
     valid = np.isfinite(lam) & (lam >= 0)
     if not valid.all():
         raise ValueError(f"lam must be finite and >= 0, got {lam[~valid][0]}")
+    lam = lam.astype(dtype)
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"step must be finite and > 0, got {step}")
+    step = dtype.type(step)
     if x0 is None:
-        x = np.zeros((rows, n))
+        x = np.zeros((rows, n), dtype=dtype)
     else:
-        x = np.array(x0, dtype=np.float64)
+        x = np.array(x0, dtype=dtype)
         if x.shape != (rows, n):
             raise ValueError(f"x0 {x.shape} is not ({rows}, {n})")
-    ax = x @ a.T
+    a_t = np.ascontiguousarray(a.T)  # its product is faster than through the view a.T
+    ax = x @ a_t
     threshold = (step * lam)[:, None]
     r = ys - ax  # the (rows, M) residual buffer
     r *= r
@@ -281,7 +296,7 @@ def lasso_shrinkage(
         mag -= threshold
         np.maximum(mag, 0.0, out=mag)  # |w| once w is thresholded
         np.copysign(mag, w, out=w)
-        aw = w @ a.T
+        aw = w @ a_t
         np.subtract(ys, aw, out=r)
         r *= r
         obj_w = 0.5 * np.add.reduce(r, axis=1) + lam * np.add.reduce(mag, axis=1)
@@ -361,6 +376,13 @@ def bp_recover_rows(
     inside the noise budget. The refit also debiases the shrinkage. Entries
     below 1e-4 of the peak magnitude are zeroed before returning.
 
+    The shrinkage only finds the support, so it runs in float32: each row
+    and its lam are multiplied by 2**-e, where ||y|| = f 2**e with f in
+    [0.5, 1), an exact scale under which float32 neither overflows nor
+    underflows. The cleaning of each iterate (in float64, against its own
+    peak), the width test, the refits and the best-refit bookkeeping are
+    float64 against the unscaled rows and matrix.
+
     The rows are independent problems solved together: they share the step
     (from the matrix's cached ||Phi||^2 estimate) and the phase schedule,
     every other quantity (lam, eps, best refit, convergence) is per row. A
@@ -372,9 +394,10 @@ def bp_recover_rows(
     Returns (x, iterations, converged): row i of x (rows, N) solves row i
     of ys, and per row the shrinkage iterations it ran before it left
     (int64) and whether a refit got inside the noise budget (bool). A row
-    that never did is its best refit, or its last shrinkage iterate when no
-    refit was possible; such a row runs to max_iterations. An all-zero row
-    is solved by zeros, converged after 0 iterations.
+    that never did is its best refit, or, when no refit was possible, its
+    last float32 shrinkage iterate, scaled back by 2**e and widened to
+    float64; such a row runs to max_iterations. An all-zero row is solved
+    by zeros, converged after 0 iterations.
     """
     params = params or RecoveryParams()
     a = phi.entries
@@ -389,19 +412,27 @@ def bp_recover_rows(
     # depend on the rows stacked with it
     lam = 0.25 * np.max(np.abs((a.T @ ys[:, :, None])[:, :, 0]), axis=1)
     lam_floor = np.where(lam > 0, 1e-12 * lam, 1.0)
+    # the support search runs in float32 on each row times 2**-e, where
+    # ||y|| = f 2**e with f in [0.5, 1): an exact scale, so lam, the
+    # iterates and the peak-relative floor scale with it, and float32
+    # neither overflows nor underflows on a row whose norm is finite
+    e = np.frexp(norm_y)[1]
+    a32 = a.astype(np.float32)
     active = np.flatnonzero(~converged)
-    y_act, lam_act = ys[active], lam[active]
-    x = np.zeros((active.size, n))
+    y_act, lam_act, e_act = ys[active], lam[active], e[active]
+    y32 = np.ldexp(y_act, -e_act[:, None]).astype(np.float32)
+    x = np.zeros((active.size, n), dtype=np.float32)
     best = np.zeros((rows, n))  # each row's refit with the smallest residual
     best_residual = np.full(rows, np.inf)
     budget = params.max_iterations
     while budget > 0 and active.size:
         this_phase = min(_PHASE_ITERATIONS, budget)
-        x = lasso_shrinkage(y_act, a, lam_act, 1.0 / phi.norm_sq, this_phase, x0=x)
+        x = lasso_shrinkage(y32, a32, np.ldexp(lam_act, -e_act), 1.0 / phi.norm_sq, this_phase, x0=x)
         budget -= this_phase
         iterations[active] += this_phase
-        mag = np.abs(x)
-        cleaned = np.where(mag >= _HARD_FLOOR * mag.max(axis=1, keepdims=True), x, 0.0)
+        x64 = x.astype(np.float64)
+        mag = np.abs(x64)
+        cleaned = np.where(mag >= _HARD_FLOOR * mag.max(axis=1, keepdims=True), x64, 0.0)
         wide = np.count_nonzero(cleaned, axis=1) > m
         refits, residuals = _refit_rows(y_act, a, cleaned)
         better = residuals < best_residual[active]
@@ -412,9 +443,9 @@ def bp_recover_rows(
         # a row too wide to refit that holds a refit already returns it,
         # whatever further phases do, unless its support narrows again
         keep = ~(done | (wide & np.isfinite(best_residual[active])))
-        active, x, y_act, lam_act = active[keep], x[keep], y_act[keep], lam_act[keep]
+        active, x, y_act, y32, lam_act, e_act = (v[keep] for v in (active, x, y_act, y32, lam_act, e_act))
 
-    x_out[active] = x  # shrinkage iterates of the rows left unconverged
+    x_out[active] = np.ldexp(x.astype(np.float64), e_act[:, None])  # last iterates, scaled back
     refit = np.isfinite(best_residual)
     mag = np.abs(best[refit])
     x_out[refit] = np.where(mag >= _HARD_FLOOR * mag.max(axis=1, keepdims=True), best[refit], 0.0)

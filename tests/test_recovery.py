@@ -323,12 +323,17 @@ def _lasso_formula_by_formula(ys, a, lam, step, iterations, x0=None):
     """lasso_shrinkage's iteration written one formula at a time, each with
     its own temporaries: the soft threshold sign(u) max(|u| - step lam, 0),
     the objective with its own abs, and the three-term momentum in both
-    branches. Returns the iterate and, per iteration, whether every row
-    took the acceleration candidate."""
+    branches. It computes in a's dtype, with the products by A^T through
+    one C-contiguous copy of A^T, as lasso_shrinkage does. Returns the
+    iterate and, per iteration, whether every row took the acceleration
+    candidate."""
+    dtype = a.dtype
     rows, n = ys.shape[0], a.shape[1]
-    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (rows,))
-    x = np.zeros((rows, n)) if x0 is None else np.array(x0, dtype=np.float64)
-    ax = x @ a.T
+    ys = np.asarray(ys, dtype=dtype)
+    lam = np.broadcast_to(np.asarray(lam, dtype=dtype), (rows,))
+    x = np.zeros((rows, n), dtype=dtype) if x0 is None else np.array(x0, dtype=dtype)
+    a_t = np.ascontiguousarray(a.T)
+    ax = x @ a_t
     x_prev, ax_prev = x, ax
     threshold = (step * lam)[:, None]
 
@@ -344,7 +349,7 @@ def _lasso_formula_by_formula(ys, a, lam, step, iterations, x0=None):
         grad = (az - ys) @ a
         u = z - step * grad
         w = np.sign(u) * np.maximum(np.abs(u) - threshold, 0.0)
-        aw = w @ a.T
+        aw = w @ a_t
         obj_w = objective(w, aw)
         accept = obj_w <= obj
         all_accepted.append(bool(accept.all()))
@@ -385,15 +390,21 @@ def _lasso_stacks():
 
 
 def test_lasso_matches_the_formula_by_formula_iteration():
-    branches = set()
-    for ys, a, lam, x0 in _lasso_stacks():
-        step = 1.0 / operator_norm_sq(a)
-        for iterations in (0, 1, 2, 60):
-            expected, all_accepted = _lasso_formula_by_formula(ys, a, lam, step, iterations, x0)
-            assert np.array_equal(lasso_shrinkage(ys, a, lam, step, iterations, x0=x0), expected)
-            branches.update(all_accepted)
-    # both momentum branches ran: every row accepted, and some rejected
-    assert branches == {True, False}
+    cases = _lasso_stacks()
+    for dtype in (np.float64, np.float32):
+        branches = set()
+        for ys, a, lam, x0 in cases:
+            step = 1.0 / operator_norm_sq(a)
+            a = a.astype(dtype)
+            for iterations in (0, 1, 2, 60):
+                expected, all_accepted = _lasso_formula_by_formula(ys, a, lam, step, iterations, x0)
+                x = lasso_shrinkage(ys, a, lam, step, iterations, x0=x0)
+                assert x.dtype == dtype
+                assert np.array_equal(x, expected)
+                branches.update(all_accepted)
+        # both momentum branches ran in this dtype: every row accepted, and
+        # some rejected
+        assert branches == {True, False}
 
 
 def test_solvers_do_not_write_their_inputs():
@@ -418,7 +429,9 @@ def test_solvers_do_not_write_their_inputs():
 
 def test_stack_norms_and_starting_lambda_match_per_row_forms(monkeypatch):
     # each row's norm and its starting lambda, 0.25 ||A^T y||_inf, are the
-    # ones the row gets alone, on stacks with an all-zero row
+    # ones the row gets alone, on stacks with an all-zero row; the shrinkage
+    # sees lambda times the row's exact power-of-two scale 2**-e, where
+    # ||y|| = f 2**e with f in [0.5, 1)
     first_lams = []
 
     def record(ys, a, lam, *args, **kwargs):
@@ -437,7 +450,8 @@ def test_stack_norms_and_starting_lambda_match_per_row_forms(monkeypatch):
         first_lams.clear()
         bp_recover_rows(ys, phi, RecoveryParams(max_iterations=1))
         live = np.flatnonzero(norms > 0)
-        assert np.array_equal(first_lams[0], [0.25 * float(np.max(np.abs(phi.entries.T @ ys[i]))) for i in live])
+        lams = np.ldexp(first_lams[0], np.frexp(norms[live])[1])
+        assert np.array_equal(lams, [0.25 * float(np.max(np.abs(phi.entries.T @ ys[i]))) for i in live])
 
 
 def test_lasso_rejects_bad_arguments():
@@ -503,6 +517,20 @@ def test_recovery_commutes_with_measurement_scaling():
         assert np.allclose(scaled, 1e3 * base, rtol=1e-6, atol=1e-9)
 
 
+def test_bp_commutes_with_scales_beyond_float32():
+    # the float32 support search sees each row scaled to a norm in
+    # [0.5, 1), so rows whose entries, or their squares, would overflow or
+    # underflow float32 recover the same signal, scaled
+    phi = make_sensing_matrix(40, 128, seed=10)
+    rng = np.random.default_rng(11)
+    x, _ = _spike_signal(128, 4, rng)
+    y = phi.entries @ x
+    base = bp_recover(y, phi)
+    for scale in (2.0**100, 2.0**-100, 1e60, 1e-60):
+        scaled = bp_recover(scale * y, phi)
+        assert np.allclose(scaled / scale, base, rtol=1e-6, atol=1e-9)
+
+
 def test_bp_reports_iterations_and_convergence():
     phi = make_sensing_matrix(30, 100, seed=12)
     rng = np.random.default_rng(13)
@@ -520,8 +548,13 @@ def test_bp_reports_iterations_and_convergence():
 def _bp_to_the_cap(y, phi, params):
     """Reference basis pursuit on one measurement vector: the phase loop of
     bp_recover_rows without its early exit for rows too wide to refit, so
-    a row that never converges runs to the iteration cap. Returns the dense
-    solution, the iteration count and the converged flag."""
+    a row that never converges runs to the iteration cap. Its shrinkage is
+    float64, so a match with bp_recover_rows shows that the float32 search
+    finds the same supports. A row that never gets a refit returns what
+    bp_recover_rows returns for it: the last float32 shrinkage iterate of
+    the row scaled by 2**-e (||y|| = f 2**e, f in [0.5, 1)), scaled back.
+    Returns the dense solution, the iteration count and the converged
+    flag."""
     a = phi.entries
     n = a.shape[1]
     norm_y = np.linalg.norm(y)
@@ -534,8 +567,10 @@ def _bp_to_the_cap(y, phi, params):
     x = np.zeros((1, n))
     best, best_residual = None, np.inf
     iterations, converged = 0, False
+    phases = []  # each phase's (lambda, iterations)
     while iterations < params.max_iterations and not converged:
         this_phase = min(25, params.max_iterations - iterations)
+        phases.append((lam, this_phase))
         x = lasso_shrinkage(y[None, :], a, np.array([lam]), step, this_phase, x0=x)
         iterations += this_phase
         mag = np.abs(x[0])
@@ -546,7 +581,12 @@ def _bp_to_the_cap(y, phi, params):
         converged = residual <= eps
         lam = max(lam * 0.2, lam_floor)
     if best is None:
-        return x[0], iterations, converged
+        e = np.frexp(norm_y)[1]
+        y32, a32 = np.ldexp(y, -e).astype(np.float32)[None, :], a.astype(np.float32)
+        x = np.zeros((1, n), dtype=np.float32)
+        for lam, this_phase in phases:
+            x = lasso_shrinkage(y32, a32, np.array([np.ldexp(lam, -e)]), step, this_phase, x0=x)
+        return np.ldexp(x[0].astype(np.float64), e), iterations, converged
     mag = np.abs(best)
     return np.where(mag >= 1e-4 * mag.max(), best, 0.0), iterations, converged
 
