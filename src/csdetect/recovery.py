@@ -11,9 +11,13 @@ recover_rows runs the solver its `solver` field names, and is what both
 decoding routes call.
 
 * omp: orthogonal matching pursuit, greedy column selection with a
-  least-squares refit of the active set each round. Every row of the stack
-  gains one atom per step and the refits are one batched solve of the
-  normal equations.
+  least-squares refit of the active set each round, in the Cholesky form
+  of Batch-OMP (Rubinstein, Zibulevsky & Elad 2008). Every row of the
+  stack gains one atom per step: its correlations come from Phi^T y and
+  the matrix's cached Gram matrix Phi^T Phi (SensingMatrix.gram), and its
+  refit from the inverse of the Cholesky factor of its support's Gram
+  matrix, grown by one row per atom. A row stops once its explicitly
+  formed residual is within 1e-8 ||y||.
 * bp: basis pursuit denoising, min ||f||_1 s.t. ||y - Phi f|| <= eps,
   solved by monotone accelerated shrinkage-thresholding with lambda
   continuation and a least-squares refit of the support after each phase,
@@ -21,15 +25,19 @@ decoding routes call.
   and is handled with a tiny internal floor. A row stops once a refit is
   inside its budget, or once its support is wider than M after it already
   holds a refit (no further refit is possible), as continuation solvers
-  stop early (Hale, Yin & Zhang 2008, fixed-point continuation). The
-  shrinkage only finds the support, so it runs in float32 on rows scaled
-  by an exact power of two (||y|| 2**-e in [0.5, 1)); the cleaning, the
-  refits and their residuals are float64 against the unscaled rows, and
-  the answer is the float64 refit. A row that never gets a refit returns
-  its last float32 iterate, scaled back and widened to float64.
+  stop early (Hale, Yin & Zhang 2008, fixed-point continuation). It runs
+  on rows scaled by an exact power of two (||y|| 2**-e in [0.5, 1)). The
+  shrinkage only finds the support, so it runs in float32; the cleaning,
+  the refits and their residuals are float64, and the answer is the
+  float64 refit, scaled back. A row that never gets a refit returns its
+  last float32 iterate, scaled back and widened to float64.
 
 Both treat residual tolerances relative to ||y|| so recovery commutes with
-positive rescaling of the measurements.
+positive rescaling of the measurements. Every row's norm is taken of the
+row scaled by an exact power of two, so it is finite for every finite row,
+and both solvers run on rows scaled to a norm in [0.5, 1). The bound that
+is left is basis pursuit's starting lambda, 0.25 ||Phi^T y||_inf, which
+overflows for rows with entries near 1e306.
 """
 
 from __future__ import annotations
@@ -61,6 +69,10 @@ _LAMBDA_SHRINK = 0.2
 _PHASE_ITERATIONS = 25
 # OMP stops once its residual is within this fraction of ||y||
 _OMP_RESIDUAL_TOL = 1e-8
+# OMP measures the residual of a row once ||y||^2 - ||u||^2 is within this
+# fraction of ||y||^2, far above _OMP_RESIDUAL_TOL**2 and the rounding of
+# the difference
+_OMP_PRESELECT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,11 +130,17 @@ def _one_row(solve_rows, y: np.ndarray, phi: SensingMatrix, *args) -> np.ndarray
 def _stack(ys: np.ndarray, m: int):
     """A validated (rows, m) measurement stack and each row's norm. Each
     norm is its own row-by-row dot product, the sum np.linalg.norm takes
-    of a row alone, so a row's norm does not depend on its stack."""
+    of a row alone, so a row's norm does not depend on its stack. The dot
+    is taken of the row times 2**-e, where e is the frexp exponent of the
+    row's largest magnitude, and scaled back: the scale is exact, and the
+    sum of squares neither overflows nor loses its largest terms to
+    underflow, so the norm is finite for every finite row."""
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[1] != m:
         raise ValueError(f"measurement stack {ys.shape} does not have {m} columns")
-    return ys, np.sqrt((ys[:, None, :] @ ys[:, :, None])[:, 0, 0])
+    e = np.frexp(np.max(np.abs(ys), axis=1, initial=0.0))[1]
+    scaled = np.ldexp(ys, -e[:, None])
+    return ys, np.ldexp(np.sqrt((scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0]), e)
 
 
 def omp_recover(
@@ -145,12 +163,27 @@ def omp_recover_rows(
     active set by least squares, repeat until the residual is within
     1e-8 * ||y|| or the sparsity cap is hit.
 
-    All live rows step together, so at step k every row holds k atoms: one
-    residual-by-matrix product gives every row's correlations, and one
-    batched solve of the (rows, k, k) normal equations refits every row on
-    its own support. A row leaves the stack once it is within tolerance
-    (converged), or when its best correlation is exactly 0 (the residual is
-    orthogonal to every remaining column; the row keeps its current fit).
+    Cholesky OMP (Batch-OMP) on each row scaled by 2**-e, where
+    ||y|| = f 2**e with f in [0.5, 1), an exact scale; the coefficients
+    are scaled back. G = Phi^T Phi is the matrix's cached gram. All live
+    rows step together, so at step k every row holds k atoms S, and with
+    them G_S (their rows of G), the inverse L^-1 of the Cholesky factor of
+    their Gram matrix, u = L^-1 (Phi^T y)_S and the coefficients
+    c = L^-T u. A step takes the correlations Phi^T y - c G_S, picks the
+    column p of the largest magnitude off the support, and grows L^-1 by
+    one row: with w = L^-1 G_S[:, p] and the pivot d = sqrt(G_pp - w.w),
+    the new row is [-w^T L^-1 / d, 1 / d] and u gains
+    ((Phi^T y)_p - w.u) / d. No residual or normal equations are formed
+    for the pick or the refit.
+
+    The stop rule is the explicit ||y - Phi_S c|| <= 1e-8 ||y||. Only rows
+    whose ||y||^2 - ||u||^2 (the squared residual, by orthogonality) is
+    within 1e-12 ||y||^2 have their residual formed and measured; the
+    margin is far above the rounding of that difference. A row leaves the
+    stack once it is within tolerance (converged); or, keeping its current
+    fit, when its best correlation is exactly 0 (the residual is
+    orthogonal to every remaining column) or its pivot is not positive
+    (the column is numerically in the span of the support).
 
     Returns (x, iterations, converged): row i of x (rows, N) solves row i
     of ys, and per row the number of atoms picked (int64) and whether the
@@ -158,34 +191,36 @@ def omp_recover_rows(
     zeros, converged after 0 iterations.
     """
     params = params or RecoveryParams()
-    a = phi.entries
+    a, gram = phi.entries, phi.gram
     m, n = a.shape
     ys, norm_y = _stack(ys, m)
     rows = ys.shape[0]
     x = np.zeros((rows, n))
     iterations = np.zeros(rows, dtype=np.int64)
     converged = norm_y == 0.0
-    tol = _OMP_RESIDUAL_TOL * norm_y
     kmax = params.max_sparsity or default_max_sparsity(m, n)
     kmax = min(kmax, m, params.max_iterations)
 
-    columns = a.T  # columns[j] is column j of Phi
+    # every row times 2**-e, where ||y|| = f 2**e with f in [0.5, 1): an
+    # exact scale, so the pursuit of the scaled row is the pursuit of the
+    # row, scaled, and ||y||^2 and ||u||^2 cannot overflow
+    e = np.frexp(norm_y)[1]
+    y_s, norm_s = np.ldexp(ys, -e[:, None]), np.ldexp(norm_y, -e)
     active = np.flatnonzero(~converged)
-    y_act = ys[active]
-    aty = y_act @ a  # Phi^T y: each row's refit right-hand sides
-    residual = y_act.copy()
-    # per row: chosen columns in pick order, the columns themselves, their
-    # Gram matrix and right-hand sides, grown by one atom a step
+    aty = y_s[active] @ a  # Phi^T y
+    # per row, one entry per atom in pick order: the chosen columns, their
+    # rows of Phi^T Phi, the inverse L^-1 of the Cholesky factor of their
+    # Gram matrix, u = L^-1 (Phi^T y)_S and the coefficients c = L^-T u
     support = np.zeros((active.size, kmax), dtype=np.int64)
-    atoms = np.zeros((active.size, kmax, m))
-    gram = np.zeros((active.size, kmax, kmax))
-    rhs = np.zeros((active.size, kmax, 1))
-    coeffs = np.zeros((active.size, 0))
+    g_rows = np.zeros((active.size, kmax, n))
+    l_inv = np.zeros((active.size, kmax, kmax))
+    u = np.zeros((active.size, kmax))
+    coeffs = np.zeros((active.size, kmax))
 
     def finish(leaving, k, done):
         # rows at positions `leaving` of the stack stop with k atoms
         out = active[leaving]
-        x[out[:, None], support[leaving, :k]] = coeffs[leaving]
+        x[out[:, None], support[leaving, :k]] = np.ldexp(coeffs[leaving, :k], e[out, None])
         iterations[out] = k
         converged[out] = done
 
@@ -193,32 +228,45 @@ def omp_recover_rows(
         if not active.size:
             break
         at = np.arange(active.size)
-        corr = residual @ a
+        corr = aty - (coeffs[:, None, :k] @ g_rows[:, :k])[:, 0, :]  # Phi^T (y - Phi_S c)
         corr[at[:, None], support[:, :k]] = 0.0
         picks = np.argmax(np.abs(corr), axis=1)
-        exhausted = corr[at, picks] == 0.0
-        if exhausted.any():
-            finish(exhausted, k, False)
-            keep = ~exhausted
-            active, y_act, aty, residual, support, atoms, gram, rhs, coeffs, picks = (
-                v[keep] for v in (active, y_act, aty, residual, support, atoms, gram, rhs, coeffs, picks)
+        w = (l_inv[:, :k, :k] @ g_rows[at, :k, picks][:, :, None])[:, :, 0]  # L^-1 (Phi_S^T phi_p)
+        pivot = gram[picks, picks] - (w[:, None, :] @ w[:, :, None])[:, 0, 0]
+        # a best correlation of exactly 0 (the residual is orthogonal to
+        # every remaining column) or a pivot that is not positive (the
+        # column is numerically in the span of the support) ends the row
+        # with its current fit
+        stuck = (corr[at, picks] == 0.0) | ~(pivot > 0.0)
+        if stuck.any():
+            finish(stuck, k, False)
+            keep = ~stuck
+            active, aty, support, g_rows, l_inv, u, coeffs, picks, w, pivot = (
+                v[keep] for v in (active, aty, support, g_rows, l_inv, u, coeffs, picks, w, pivot)
             )
             at = np.arange(active.size)
+        d = np.sqrt(pivot)
+        l_inv[:, k, :k] = -(w[:, None, :] @ l_inv[:, :k, :k])[:, 0, :] / d[:, None]
+        l_inv[:, k, k] = 1.0 / d
+        u[:, k] = (aty[at, picks] - (w[:, None, :] @ u[:, :k, None])[:, 0, 0]) / d
+        coeffs[:, : k + 1] = (u[:, None, : k + 1] @ l_inv[:, : k + 1, : k + 1])[:, 0, :]
         support[:, k] = picks
-        atoms[:, k] = columns[picks]
-        cross = (atoms[:, : k + 1] @ atoms[:, k, :, None])[:, :, 0]
-        gram[:, k, : k + 1] = cross
-        gram[:, : k + 1, k] = cross
-        rhs[:, k, 0] = aty[at, picks]
-        coeffs = np.linalg.solve(gram[:, : k + 1, : k + 1], rhs[:, : k + 1])[:, :, 0]
-        residual = y_act - (coeffs[:, None, :] @ atoms[:, : k + 1])[:, 0, :]
-        done = np.linalg.norm(residual, axis=1) <= tol[active]
-        if done.any():
-            finish(done, k + 1, True)
-            keep = ~done
-            active, y_act, aty, residual, support, atoms, gram, rhs, coeffs = (
-                v[keep] for v in (active, y_act, aty, residual, support, atoms, gram, rhs, coeffs)
-            )
+        g_rows[:, k] = gram[picks]
+        # ||y - Phi_S c||^2 = ||y||^2 - ||u||^2 picks the rows near the
+        # tolerance; only their residuals are formed and measured
+        yy = norm_s[active] ** 2
+        near = np.flatnonzero(yy - np.add.reduce(u * u, axis=1) <= _OMP_PRESELECT * yy)
+        if near.size:
+            cols = a.T[support[near, : k + 1]]  # cols[i] holds row near[i]'s support columns
+            residual = y_s[active[near]] - (coeffs[near, None, : k + 1] @ cols)[:, 0, :]
+            done = np.zeros(active.size, dtype=bool)
+            done[near] = np.linalg.norm(residual, axis=1) <= _OMP_RESIDUAL_TOL * norm_s[active[near]]
+            if done.any():
+                finish(done, k + 1, True)
+                keep = ~done
+                active, aty, support, g_rows, l_inv, u, coeffs = (
+                    v[keep] for v in (active, aty, support, g_rows, l_inv, u, coeffs)
+                )
     if active.size:  # rows stopped by the cap
         finish(np.ones(active.size, dtype=bool), kmax, False)
     return x, iterations, converged
@@ -376,12 +424,14 @@ def bp_recover_rows(
     inside the noise budget. The refit also debiases the shrinkage. Entries
     below 1e-4 of the peak magnitude are zeroed before returning.
 
-    The shrinkage only finds the support, so it runs in float32: each row
-    and its lam are multiplied by 2**-e, where ||y|| = f 2**e with f in
-    [0.5, 1), an exact scale under which float32 neither overflows nor
-    underflows. The cleaning of each iterate (in float64, against its own
-    peak), the width test, the refits and the best-refit bookkeeping are
-    float64 against the unscaled rows and matrix.
+    Every row and its lam and eps are multiplied by 2**-e, where
+    ||y|| = f 2**e with f in [0.5, 1), an exact scale under which float32
+    neither overflows nor underflows and no refit residual overflows
+    float64; the answer is scaled back. The shrinkage only finds the
+    support, so it runs in float32. The cleaning of each iterate (in
+    float64, against its own peak), the width test, the refits and the
+    best-refit bookkeeping are float64, against the matrix and the scaled
+    rows in float64.
 
     The rows are independent problems solved together: they share the step
     (from the matrix's cached ||Phi||^2 estimate) and the phase schedule,
@@ -407,22 +457,24 @@ def bp_recover_rows(
     x_out = np.zeros((rows, n))
     iterations = np.zeros(rows, dtype=np.int64)
     converged = norm_y == 0.0
-    eps = max(params.noise_budget_frac, _EQUALITY_FLOOR) * norm_y
     # one matrix-vector product per row, so a row's lambda path does not
     # depend on the rows stacked with it
     lam = 0.25 * np.max(np.abs((a.T @ ys[:, :, None])[:, :, 0]), axis=1)
     lam_floor = np.where(lam > 0, 1e-12 * lam, 1.0)
-    # the support search runs in float32 on each row times 2**-e, where
-    # ||y|| = f 2**e with f in [0.5, 1): an exact scale, so lam, the
-    # iterates and the peak-relative floor scale with it, and float32
-    # neither overflows nor underflows on a row whose norm is finite
+    # the solve runs on each row times 2**-e, where ||y|| = f 2**e with f
+    # in [0.5, 1): an exact scale, so lam, eps, the iterates, the refits and
+    # the peak-relative floor scale with it, float32 neither overflows nor
+    # underflows, and no refit residual overflows, on a row whose norm is
+    # finite
     e = np.frexp(norm_y)[1]
+    y_s = np.ldexp(ys, -e[:, None])
+    eps = max(params.noise_budget_frac, _EQUALITY_FLOOR) * np.ldexp(norm_y, -e)
     a32 = a.astype(np.float32)
     active = np.flatnonzero(~converged)
-    y_act, lam_act, e_act = ys[active], lam[active], e[active]
-    y32 = np.ldexp(y_act, -e_act[:, None]).astype(np.float32)
+    y_act, lam_act, e_act = y_s[active], lam[active], e[active]
+    y32 = y_act.astype(np.float32)
     x = np.zeros((active.size, n), dtype=np.float32)
-    best = np.zeros((rows, n))  # each row's refit with the smallest residual
+    best = np.zeros((rows, n))  # each row's refit with the smallest residual, scaled
     best_residual = np.full(rows, np.inf)
     budget = params.max_iterations
     while budget > 0 and active.size:
@@ -448,5 +500,7 @@ def bp_recover_rows(
     x_out[active] = np.ldexp(x.astype(np.float64), e_act[:, None])  # last iterates, scaled back
     refit = np.isfinite(best_residual)
     mag = np.abs(best[refit])
-    x_out[refit] = np.where(mag >= _HARD_FLOOR * mag.max(axis=1, keepdims=True), best[refit], 0.0)
+    x_out[refit] = np.ldexp(
+        np.where(mag >= _HARD_FLOOR * mag.max(axis=1, keepdims=True), best[refit], 0.0), e[refit, None]
+    )
     return x_out, iterations, converged

@@ -55,6 +55,14 @@ class SensingMatrix:
         """operator_norm_sq of the entries, estimated once per matrix."""
         return operator_norm_sq(self.entries)
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """entries.T @ entries, (cols, cols), computed once per matrix and
+        read-only."""
+        gram = self.entries.T @ self.entries
+        gram.flags.writeable = False
+        return gram
+
     def __eq__(self, other):
         if not isinstance(other, SensingMatrix):
             return NotImplemented

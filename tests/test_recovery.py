@@ -118,8 +118,7 @@ def _assert_matches_reference(y, phi, params, dense, iterations, converged):
     x, ref_iterations, ref_converged, picked = _omp_one_at_a_time(y, phi, params)
     # relative to the row's peak: an atom picked on the way can refit to
     # rounding noise, exactly 0 on one side (not stored) and about 1e-16 on
-    # the other (stored), in the reference's lstsq or in the batched normal
-    # equations
+    # the other (stored), in the reference's lstsq or in the Cholesky refit
     peak = float(np.max(np.abs(x), initial=0.0))
     nonzero = set(np.flatnonzero(x).tolist())
     stored = set(np.flatnonzero(dense).tolist())
@@ -193,6 +192,35 @@ def test_omp_rows_all_converging_before_the_cap():
         _assert_matches_reference(y, phi, params, row, its, done)
 
 
+def test_omp_rows_match_the_reference_at_the_shipped_shape():
+    # the ensemble config's 112x184 matrix at max_sparsity 10: exact codes
+    # of 1 to 4 spikes converge after their own atoms, 5%-noisy ones run to
+    # the cap; supports, iteration counts and converged flags are the
+    # reference's
+    phi = make_sensing_matrix(112, 184, seed=1234)
+    rng = np.random.default_rng(24)
+    rows, spikes = [], []
+    for r in range(27):
+        k = 1 + r % 4
+        x, _ = _spike_signal(184, k, rng, values=rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.5, 2.0, size=k))
+        y = phi.entries @ x
+        if r % 2:
+            noise = rng.normal(size=112)
+            y += noise * (0.05 * np.linalg.norm(y) / np.linalg.norm(noise))
+        rows.append(y)
+        spikes.append(k)
+    ys = np.array(rows)
+    params = RecoveryParams(solver="omp", max_sparsity=10)
+    stacked, iterations, converged = omp_recover_rows(ys, phi, params)
+    for y, row, its, done in zip(ys, stacked, iterations, converged):
+        _assert_matches_reference(y, phi, params, row, its, done)
+        picked = _omp_one_at_a_time(y, phi, params)[3]
+        assert np.array_equal(np.flatnonzero(row), np.sort(picked))
+    exact = np.arange(27) % 2 == 0
+    assert converged.tolist() == exact.tolist()
+    assert iterations.tolist() == [k if e else 10 for k, e in zip(spikes, exact)]
+
+
 def test_omp_row_does_not_depend_on_its_stack():
     phi = make_sensing_matrix(30, 100, seed=33)
     ys = _omp_stack(phi, np.random.default_rng(34))
@@ -224,6 +252,22 @@ def test_omp_row_orthogonal_to_every_column_stops_empty():
     assert (iterations[0], converged[0]) == (0, False)
     assert np.flatnonzero(stacked[1]).tolist() == [3, 7]
     assert converged[1]
+
+
+def test_omp_column_in_the_span_of_its_support_ends_the_row():
+    # every column lies in the plane of the first two coordinates, and each
+    # row has a part no column reaches: after two atoms every remaining
+    # column is in the span of the support, with a pivot that rounds to 0
+    # or below: the normal equations of the three atoms are singular
+    entries = np.array([[2.0, 1.0, -1.0, -3.0], [1.0, -1.0, 3.0, -1.0], [0.0, 0.0, 0.0, 0.0]])
+    phi = SensingMatrix(entries=entries, seed=0)
+    ys = np.array([[1.0, -2.0, 1.0], [1.0, 1.0, 1.0], [3.0, -2.0, 1.0]])
+    stacked, iterations, converged = omp_recover_rows(ys, phi, RecoveryParams(max_sparsity=3))
+    assert np.isfinite(stacked).all()
+    assert iterations.tolist() == [2, 2, 2]
+    assert not converged.any()
+    # the two atoms fit the part of each row the columns reach
+    np.testing.assert_allclose(stacked @ entries.T, ys * [1.0, 1.0, 0.0], rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -517,18 +561,36 @@ def test_recovery_commutes_with_measurement_scaling():
         assert np.allclose(scaled, 1e3 * base, rtol=1e-6, atol=1e-9)
 
 
-def test_bp_commutes_with_scales_beyond_float32():
-    # the float32 support search sees each row scaled to a norm in
-    # [0.5, 1), so rows whose entries, or their squares, would overflow or
-    # underflow float32 recover the same signal, scaled
+# a row's squares overflow float64 past about 1e154 and underflow to 0
+# below about 1e-162; its entries leave float32 past about 3e38 and below
+# about 1e-45
+_SCALES = (2.0**100, 2.0**-100, 1e60, 1e-60, 1e160, 1e200, 1e-200)
+
+
+def _assert_commutes_with_scales(solve, params):
     phi = make_sensing_matrix(40, 128, seed=10)
     rng = np.random.default_rng(11)
-    x, _ = _spike_signal(128, 4, rng)
+    x, support = _spike_signal(128, 4, rng)
     y = phi.entries @ x
-    base = bp_recover(y, phi)
-    for scale in (2.0**100, 2.0**-100, 1e60, 1e-60):
-        scaled = bp_recover(scale * y, phi)
+    base = solve(y, phi, params)
+    assert np.array_equal(np.flatnonzero(base), support)
+    for scale in _SCALES:
+        scaled = solve(scale * y, phi, params)
         assert np.allclose(scaled / scale, base, rtol=1e-6, atol=1e-9)
+
+
+def test_bp_commutes_with_scales_beyond_float32():
+    # row norms are taken of their rows scaled by a power of two, and the
+    # float32 support search and the refits see each row scaled to a norm
+    # in [0.5, 1), so rows whose entries, or their squares, leave float32 or
+    # float64 recover the same signal, scaled
+    _assert_commutes_with_scales(bp_recover, RecoveryParams())
+
+
+def test_omp_commutes_with_scales_beyond_float32():
+    # the pursuit runs on each row scaled to a norm in [0.5, 1), so its
+    # ||y||^2 and ||u||^2 neither overflow nor underflow
+    _assert_commutes_with_scales(omp_recover, RecoveryParams(solver="omp", max_sparsity=4))
 
 
 def test_bp_reports_iterations_and_convergence():

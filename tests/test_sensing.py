@@ -65,3 +65,14 @@ def test_rip_rejects_oversparse_request():
     phi = make_sensing_matrix(10, 40, seed=0)
     with pytest.raises(ValueError):
         empirical_rip_check(phi, sparsity=21, trials=10, seed=0)
+
+
+def test_gram_is_cached_read_only_and_exact():
+    phi = make_sensing_matrix(112, 184, seed=3)
+    gram = phi.gram
+    assert gram is phi.gram
+    assert (gram.dtype, gram.shape) == (np.float64, (184, 184))
+    assert np.array_equal(gram, phi.entries.T @ phi.entries)
+    assert not gram.flags.writeable
+    with pytest.raises(ValueError):
+        gram[0, 0] = 1.0
