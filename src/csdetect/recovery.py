@@ -17,7 +17,10 @@ decoding routes call.
   the matrix's cached Gram matrix Phi^T Phi (SensingMatrix.gram), and its
   refit from the inverse of the Cholesky factor of its support's Gram
   matrix, grown by one row per atom. A row stops once its explicitly
-  formed residual is within 1e-8 ||y||.
+  formed residual is within 1e-8 ||y||; only rows whose running ||u||^2
+  is within 1e-12 ||y||^2 of ||y||^2 have it formed. A row also stops,
+  unconverged, once its best correlation is rounding dust (at most
+  1e-12 ||y|| max_j ||phi_j||).
 * bp: basis pursuit denoising, min ||f||_1 s.t. ||y - Phi f|| <= eps,
   solved by monotone accelerated shrinkage-thresholding with lambda
   continuation and a least-squares refit of the support after each phase,
@@ -33,11 +36,13 @@ decoding routes call.
   last float32 iterate, scaled back and widened to float64.
 
 Both treat residual tolerances relative to ||y|| so recovery commutes with
-positive rescaling of the measurements. Every row's norm is taken of the
-row scaled by an exact power of two, so it is finite for every finite row,
-and both solvers run on rows scaled to a norm in [0.5, 1). The bound that
-is left is basis pursuit's starting lambda, 0.25 ||Phi^T y||_inf, which
-overflows for rows with entries near 1e306.
+positive rescaling of the measurements. Every row's norm is its plain dot
+product where that is exact (a sum of squares in [2**-900, inf)), and is
+taken of the row scaled by an exact power of two otherwise, so it is finite
+for every finite row; both solvers run on rows scaled to a norm in
+[0.5, 1). A row with a NaN or an inf entry raises ValueError naming it.
+The bound that is left is basis pursuit's starting lambda,
+0.25 ||Phi^T y||_inf, which overflows for rows with entries near 1e306.
 """
 
 from __future__ import annotations
@@ -71,8 +76,15 @@ _PHASE_ITERATIONS = 25
 _OMP_RESIDUAL_TOL = 1e-8
 # OMP measures the residual of a row once ||y||^2 - ||u||^2 is within this
 # fraction of ||y||^2, far above _OMP_RESIDUAL_TOL**2 and the rounding of
-# the difference
+# the running ||u||^2
 _OMP_PRESELECT = 1e-12
+# OMP ends a row whose best correlation is at most this fraction of
+# ||y|| max_j ||phi_j||, the largest correlation any residual can have:
+# rounding dust, not a direction the columns reach
+_OMP_CORR_FLOOR = 1e-12
+# _stack takes a row's plain dot when its sum of squares is at least this:
+# far from overflow, and a square that underflows cannot reach its rounding
+_PLAIN_NORM_SQ_FLOOR = 2.0**-900
 
 
 @dataclass(frozen=True)
@@ -128,19 +140,35 @@ def _one_row(solve_rows, y: np.ndarray, phi: SensingMatrix, *args) -> np.ndarray
 
 
 def _stack(ys: np.ndarray, m: int):
-    """A validated (rows, m) measurement stack and each row's norm. Each
-    norm is its own row-by-row dot product, the sum np.linalg.norm takes
-    of a row alone, so a row's norm does not depend on its stack. The dot
-    is taken of the row times 2**-e, where e is the frexp exponent of the
-    row's largest magnitude, and scaled back: the scale is exact, and the
-    sum of squares neither overflows nor loses its largest terms to
-    underflow, so the norm is finite for every finite row."""
+    """A validated (rows, m) measurement stack of finite rows and each row's
+    norm. Each norm is its own row-by-row dot product, the sum
+    np.linalg.norm takes of a row alone, so a row's norm does not depend on
+    its stack. A row whose sum of squares lies in [2**-900, inf) keeps its
+    plain dot: no square overflows, and the squares that underflow are too
+    small to reach the sum's rounding. Any other row is scaled by 2**-e,
+    where e is the frexp exponent of its largest magnitude, before its dot,
+    and its norm is scaled back: the scale is exact, the sum of squares
+    neither overflows nor loses its largest terms to underflow, and the
+    norm is the one the plain dot gives where that dot is exact. A row with
+    a NaN or an inf entry raises ValueError."""
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[1] != m:
         raise ValueError(f"measurement stack {ys.shape} does not have {m} columns")
-    e = np.frexp(np.max(np.abs(ys), axis=1, initial=0.0))[1]
-    scaled = np.ldexp(ys, -e[:, None])
-    return ys, np.ldexp(np.sqrt((scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0]), e)
+    with np.errstate(over="ignore"):
+        sq = (ys[:, None, :] @ ys[:, :, None])[:, 0, 0]
+    norms = np.sqrt(sq)
+    plain = sq >= _PLAIN_NORM_SQ_FLOOR
+    plain &= sq < np.inf
+    if np.count_nonzero(plain) < plain.size:  # tiny, huge, all-zero or non-finite rows
+        odd = (~plain).nonzero()[0]
+        y = ys[odd]
+        finite = np.isfinite(y).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"measurement row {odd[~finite][0]} is not finite")
+        e = np.frexp(np.max(np.abs(y), axis=1))[1]
+        y = np.ldexp(y, -e[:, None])
+        norms[odd] = np.ldexp(np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0, 0]), e)
+    return ys, norms
 
 
 def omp_recover(
@@ -174,21 +202,24 @@ def omp_recover_rows(
     one row: with w = L^-1 G_S[:, p] and the pivot d = sqrt(G_pp - w.w),
     the new row is [-w^T L^-1 / d, 1 / d] and u gains
     ((Phi^T y)_p - w.u) / d. No residual or normal equations are formed
-    for the pick or the refit.
+    for the pick or the refit. The step writes into buffers the call
+    owns and indexes them through flat offsets.
 
     The stop rule is the explicit ||y - Phi_S c|| <= 1e-8 ||y||. Only rows
-    whose ||y||^2 - ||u||^2 (the squared residual, by orthogonality) is
-    within 1e-12 ||y||^2 have their residual formed and measured; the
-    margin is far above the rounding of that difference. A row leaves the
-    stack once it is within tolerance (converged); or, keeping its current
-    fit, when its best correlation is exactly 0 (the residual is
-    orthogonal to every remaining column) or its pivot is not positive
+    whose running ||u||^2 (||y||^2 minus the squared residual, by
+    orthogonality) has reached (1 - 1e-12) ||y||^2 have their residual
+    formed and measured; the margin is far above the rounding of the
+    running sum. A row leaves the stack once it is within tolerance
+    (converged); or, keeping its current fit, when its best correlation is
+    at most 1e-12 ||y|| max_j ||phi_j|| (the residual is orthogonal to
+    every remaining column, up to rounding) or its pivot is not positive
     (the column is numerically in the span of the support).
 
     Returns (x, iterations, converged): row i of x (rows, N) solves row i
     of ys, and per row the number of atoms picked (int64) and whether the
     residual reached the tolerance (bool). An all-zero row is solved by
-    zeros, converged after 0 iterations.
+    zeros, converged after 0 iterations. A row with a NaN or an inf entry
+    raises ValueError.
     """
     params = params or RecoveryParams()
     a, gram = phi.entries, phi.gram
@@ -206,69 +237,110 @@ def omp_recover_rows(
     # row, scaled, and ||y||^2 and ||u||^2 cannot overflow
     e = np.frexp(norm_y)[1]
     y_s, norm_s = np.ldexp(ys, -e[:, None]), np.ldexp(norm_y, -e)
-    active = np.flatnonzero(~converged)
-    aty = y_s[active] @ a  # Phi^T y
-    # per row, one entry per atom in pick order: the chosen columns, their
-    # rows of Phi^T Phi, the inverse L^-1 of the Cholesky factor of their
-    # Gram matrix, u = L^-1 (Phi^T y)_S and the coefficients c = L^-T u
-    support = np.zeros((active.size, kmax), dtype=np.int64)
-    g_rows = np.zeros((active.size, kmax, n))
-    l_inv = np.zeros((active.size, kmax, kmax))
-    u = np.zeros((active.size, kmax))
-    coeffs = np.zeros((active.size, kmax))
+    active = norm_y.nonzero()[0]
+    live = active.size
+    norm_act = norm_s[active]
+    aty = (y_s if live == rows else y_s[active]) @ a  # Phi^T y
+    diag = np.diagonal(gram)
+    # per row: the preselect threshold, the correlation floor and the running ||u||^2
+    ready = norm_act * norm_act * (1.0 - _OMP_PRESELECT)
+    floor = _OMP_CORR_FLOOR * float(np.sqrt(diag.max())) * norm_act
+    uu = np.zeros(live)
+    # per atom in pick order, one entry per row: the chosen columns, their
+    # flat offsets in the correlation buffer and their rows of Phi^T Phi
+    # (only the first k atoms are ever read); per row, one entry per atom:
+    # the inverse L^-1 of the Cholesky factor of the support's Gram matrix
+    # (zero above the diagonal), u = L^-1 (Phi^T y)_S and c = L^-T u
+    support = np.zeros((kmax, live), dtype=np.int64)
+    support_at = np.zeros((kmax, live), dtype=np.int64)
+    g_rows = np.empty((kmax, live, n))
+    l_inv = np.zeros((live, kmax, kmax))
+    u = np.zeros((live, kmax))
+    coeffs = np.zeros((live, kmax))
+    corr = np.empty((live, n))  # |Phi^T (y - Phi_S c)|, rewritten each step
+    # flat offsets: each stack position's row in the (live, n) buffers, and
+    # each atom's block in g_rows
+    row_at = np.arange(live) * n
+    at, c, g_at = row_at, corr, np.arange(kmax)[:, None] * (live * n)
 
     def finish(leaving, k, done):
         # rows at positions `leaving` of the stack stop with k atoms
         out = active[leaving]
-        x[out[:, None], support[leaving, :k]] = np.ldexp(coeffs[leaving, :k], e[out, None])
+        x.ravel()[support[:k, leaving] + out * n] = np.ldexp(coeffs[leaving, :k], e[out, None]).T
         iterations[out] = k
         converged[out] = done
 
+    def keep_rows(keep, k):
+        # the stack keeps the rows `keep`, each holding k atoms
+        nonlocal active, aty, norm_act, ready, floor, uu, l_inv, u, coeffs
+        nonlocal support, support_at, g_rows, at, c, g_at
+        active, aty, norm_act, ready, floor, uu, l_inv, u, coeffs = (
+            v[keep] for v in (active, aty, norm_act, ready, floor, uu, l_inv, u, coeffs)
+        )
+        live = active.size
+        at, c, g_at = row_at[:live], corr[:live], np.arange(kmax)[:, None] * (live * n)
+        support = support[:, keep]
+        support_at = support + at
+        kept = np.empty((kmax, live, n))
+        kept[:k] = g_rows[:k, keep]
+        g_rows = kept
+        return live
+
     for k in range(kmax):  # every row of the stack holds k atoms
-        if not active.size:
+        if not live:
             break
-        at = np.arange(active.size)
-        corr = aty - (coeffs[:, None, :k] @ g_rows[:, :k])[:, 0, :]  # Phi^T (y - Phi_S c)
-        corr[at[:, None], support[:, :k]] = 0.0
-        picks = np.argmax(np.abs(corr), axis=1)
-        w = (l_inv[:, :k, :k] @ g_rows[at, :k, picks][:, :, None])[:, :, 0]  # L^-1 (Phi_S^T phi_p)
-        pivot = gram[picks, picks] - (w[:, None, :] @ w[:, :, None])[:, 0, 0]
-        # a best correlation of exactly 0 (the residual is orthogonal to
-        # every remaining column) or a pivot that is not positive (the
-        # column is numerically in the span of the support) ends the row
-        # with its current fit
-        stuck = (corr[at, picks] == 0.0) | ~(pivot > 0.0)
-        if stuck.any():
-            finish(stuck, k, False)
-            keep = ~stuck
-            active, aty, support, g_rows, l_inv, u, coeffs, picks, w, pivot = (
-                v[keep] for v in (active, aty, support, g_rows, l_inv, u, coeffs, picks, w, pivot)
-            )
-            at = np.arange(active.size)
+        if k:  # the correlations, off the support
+            np.matmul(coeffs[:, None, :k], g_rows[:k].transpose(1, 0, 2), out=c[:, None, :])
+            np.subtract(aty, c, out=c)
+            np.abs(c, out=c)
+            c.ravel()[support_at[:k]] = 0.0
+        else:
+            np.abs(aty, out=c)
+        picks = c.argmax(axis=1)
+        flat = at + picks
+        best = c.ravel()[flat]
+        if k:  # w = L^-1 (Phi_S^T phi_p), and the pivot
+            w = (l_inv[:, :k, :k] @ g_rows.ravel()[(g_at[:k] + flat).T][:, :, None])[:, :, 0]
+            pivot = diag[picks] - (w[:, None, :] @ w[:, :, None])[:, 0, 0]
+        else:
+            w, pivot = np.empty((live, 0)), diag[picks]
+        # a best correlation at the floor (the residual is orthogonal to
+        # every remaining column, up to rounding) or a pivot that is not
+        # positive (the column is numerically in the span of the support)
+        # ends the row with its current fit
+        moving = np.minimum(best - floor, pivot) > 0.0
+        if np.count_nonzero(moving) < live:
+            finish(~moving, k, False)
+            live = keep_rows(moving, k)
+            picks, w, pivot = picks[moving], w[moving], pivot[moving]
+            flat = at + picks
         d = np.sqrt(pivot)
-        l_inv[:, k, :k] = -(w[:, None, :] @ l_inv[:, :k, :k])[:, 0, :] / d[:, None]
-        l_inv[:, k, k] = 1.0 / d
-        u[:, k] = (aty[at, picks] - (w[:, None, :] @ u[:, :k, None])[:, 0, 0]) / d
-        coeffs[:, : k + 1] = (u[:, None, : k + 1] @ l_inv[:, : k + 1, : k + 1])[:, 0, :]
-        support[:, k] = picks
-        g_rows[:, k] = gram[picks]
+        aty_p = aty.ravel()[flat]
+        if k:  # the new row of L^-1, and u_k = ((Phi^T y)_p - w.u) / d
+            np.divide(w[:, None, :] @ l_inv[:, :k, :k], -d[:, None, None], out=l_inv[:, k : k + 1, :k])
+            aty_p -= (w[:, None, :] @ u[:, :k, None])[:, 0, 0]
+        np.divide(1.0, d, out=l_inv[:, k, k])
+        np.divide(aty_p, d, out=u[:, k])
+        np.matmul(u[:, None, : k + 1], l_inv[:, : k + 1, : k + 1], out=coeffs[:, None, : k + 1])
+        support[k] = picks
+        support_at[k] = flat
+        # picks are in range: "clip" only spares take its buffered bounds check
+        gram.take(picks, axis=0, out=g_rows[k], mode="clip")
         # ||y - Phi_S c||^2 = ||y||^2 - ||u||^2 picks the rows near the
         # tolerance; only their residuals are formed and measured
-        yy = norm_s[active] ** 2
-        near = np.flatnonzero(yy - np.add.reduce(u * u, axis=1) <= _OMP_PRESELECT * yy)
+        uu += u[:, k] * u[:, k]
+        near = (uu >= ready).nonzero()[0]
         if near.size:
-            cols = a.T[support[near, : k + 1]]  # cols[i] holds row near[i]'s support columns
+            cols = a.T[support[: k + 1, near].T]  # cols[i] holds row near[i]'s support columns
             residual = y_s[active[near]] - (coeffs[near, None, : k + 1] @ cols)[:, 0, :]
-            done = np.zeros(active.size, dtype=bool)
-            done[near] = np.linalg.norm(residual, axis=1) <= _OMP_RESIDUAL_TOL * norm_s[active[near]]
-            if done.any():
-                finish(done, k + 1, True)
-                keep = ~done
-                active, aty, support, g_rows, l_inv, u, coeffs = (
-                    v[keep] for v in (active, aty, support, g_rows, l_inv, u, coeffs)
-                )
-    if active.size:  # rows stopped by the cap
-        finish(np.ones(active.size, dtype=bool), kmax, False)
+            within = np.linalg.norm(residual, axis=1) <= _OMP_RESIDUAL_TOL * norm_act[near]
+            if within.any():
+                keep = np.ones(live, dtype=bool)
+                keep[near[within]] = False
+                finish(~keep, k + 1, True)
+                live = keep_rows(keep, k + 1)
+    if live:  # rows stopped by the cap
+        finish(np.ones(live, dtype=bool), kmax, False)
     return x, iterations, converged
 
 

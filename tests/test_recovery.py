@@ -93,6 +93,9 @@ def _omp_one_at_a_time(y, phi, params):
     if norm_y == 0.0:
         return x, 0, True, []
     tol = 1e-8 * norm_y
+    # no residual correlates with a column by more than ||y|| max_j ||phi_j||;
+    # 1e-12 of that is rounding dust
+    floor = 1e-12 * norm_y * float(np.max(np.linalg.norm(a, axis=0)))
     kmax = min(params.max_sparsity or default_max_sparsity(m, n), m, params.max_iterations)
     active = []
     coeffs = np.zeros(0)
@@ -102,7 +105,7 @@ def _omp_one_at_a_time(y, phi, params):
         corr = a.T @ residual
         corr[active] = 0.0
         j = int(np.argmax(np.abs(corr)))
-        if corr[j] == 0.0:
+        if abs(corr[j]) <= floor:
             break
         active.append(j)
         coeffs = np.linalg.lstsq(a[:, active], y, rcond=None)[0]
@@ -192,11 +195,10 @@ def test_omp_rows_all_converging_before_the_cap():
         _assert_matches_reference(y, phi, params, row, its, done)
 
 
-def test_omp_rows_match_the_reference_at_the_shipped_shape():
-    # the ensemble config's 112x184 matrix at max_sparsity 10: exact codes
-    # of 1 to 4 spikes converge after their own atoms, 5%-noisy ones run to
-    # the cap; supports, iteration counts and converged flags are the
-    # reference's
+def _shipped_omp_stack():
+    """The ensemble config's 112x184 matrix and 27 rows: codes of 1 to 4
+    spikes, exact on even rows and with 5% noise on odd ones; returns
+    (phi, ys, spikes per row)."""
     phi = make_sensing_matrix(112, 184, seed=1234)
     rng = np.random.default_rng(24)
     rows, spikes = [], []
@@ -209,7 +211,14 @@ def test_omp_rows_match_the_reference_at_the_shipped_shape():
             y += noise * (0.05 * np.linalg.norm(y) / np.linalg.norm(noise))
         rows.append(y)
         spikes.append(k)
-    ys = np.array(rows)
+    return phi, np.array(rows), spikes
+
+
+def test_omp_rows_match_the_reference_at_the_shipped_shape():
+    # at max_sparsity 10, exact codes converge after their own atoms and
+    # noisy ones run to the cap; supports, iteration counts and converged
+    # flags are the reference's
+    phi, ys, spikes = _shipped_omp_stack()
     params = RecoveryParams(solver="omp", max_sparsity=10)
     stacked, iterations, converged = omp_recover_rows(ys, phi, params)
     for y, row, its, done in zip(ys, stacked, iterations, converged):
@@ -219,6 +228,82 @@ def test_omp_rows_match_the_reference_at_the_shipped_shape():
     exact = np.arange(27) % 2 == 0
     assert converged.tolist() == exact.tolist()
     assert iterations.tolist() == [k if e else 10 for k, e in zip(spikes, exact)]
+
+
+def _omp_formula_by_formula(ys, phi, params):
+    """omp_recover_rows's Cholesky pursuit written one formula at a time,
+    one row at a time, with fresh arrays for every quantity and no
+    preselect: every row's residual is formed and measured after every
+    atom. Phi^T y of the scaled live rows is one product, and every other
+    product is the solver's batched product on a one-row batch, so the
+    arithmetic is the solver's. Returns (x, iterations, converged)."""
+    a, gram = phi.entries, phi.gram
+    m, n = a.shape
+    rows = len(ys)
+    kmax = min(params.max_sparsity or default_max_sparsity(m, n), m, params.max_iterations)
+    norms = np.array([np.linalg.norm(y) for y in ys])
+    e = np.frexp(norms)[1]
+    y_s, norm_s = np.ldexp(ys, -e[:, None]), np.ldexp(norms, -e)
+    live = np.flatnonzero(norms)
+    aty = np.zeros((rows, n))
+    aty[live] = y_s[live] @ a
+    floor = 1e-12 * float(np.sqrt(np.max(np.diagonal(gram))))
+    x = np.zeros((rows, n))
+    iterations = np.zeros(rows, dtype=np.int64)
+    converged = norms == 0.0
+    for i in live:
+        support, g = [], np.zeros((1, 0, n))
+        l_inv, u, c = np.zeros((1, 0, 0)), np.zeros((1, 0)), np.zeros((1, 0))
+        while len(support) < kmax and not converged[i]:
+            k = len(support)
+            corr = np.abs(aty[i : i + 1] - (c[:, None, :] @ g)[:, 0, :])
+            corr[0, support] = 0.0
+            p = int(np.argmax(corr[0]))
+            w = (l_inv @ g[:, :, p][:, :, None])[:, :, 0]
+            pivot = gram[p, p] - (w[:, None, :] @ w[:, :, None])[0, 0, 0]
+            if not (corr[0, p] > floor * norm_s[i] and pivot > 0.0):
+                break
+            d = np.sqrt(pivot)
+            grown = np.zeros((1, k + 1, k + 1))
+            grown[:, :k, :k] = l_inv
+            grown[0, k, :k] = -(w[:, None, :] @ l_inv)[0, 0] / d
+            grown[0, k, k] = 1.0 / d
+            u_k = (aty[i, p] - (w[:, None, :] @ u[:, :, None])[0, 0, 0]) / d
+            l_inv, u = grown, np.append(u, u_k)[None, :]
+            c = (u[:, None, :] @ l_inv)[:, 0, :]
+            support.append(p)
+            g = np.concatenate([g, gram[p][None, None, :]], axis=1)
+            residual = y_s[i : i + 1] - (c[:, None, :] @ a.T[support][None])[:, 0, :]
+            converged[i] = np.linalg.norm(residual, axis=1)[0] <= 1e-8 * norm_s[i]
+        x[i, support] = np.ldexp(c[0], e[i])
+        iterations[i] = len(support)
+    return x, iterations, converged
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        RecoveryParams(),
+        RecoveryParams(max_sparsity=6),
+        RecoveryParams(max_sparsity=6, max_iterations=3),
+        RecoveryParams(max_sparsity=10),
+        RecoveryParams(max_sparsity=30),
+    ],
+    ids=["default-cap", "cap6", "cap6-iter3", "cap10", "cap-M"],
+)
+def test_omp_rows_match_the_formula_by_formula_pursuit(params):
+    # the buffers, flat indices and preselect of the solver's step change
+    # no bit of its signals, iteration counts or converged flags, on rows
+    # that converge, run to the cap, or end on the correlation floor while
+    # others go on, and at the ensemble config's shape and cap (cap10)
+    phi = make_sensing_matrix(30, 100, seed=31)
+    stacks = [(phi, _omp_stack(phi, np.random.default_rng(32))), _unreached_part_stack()[:2], _shipped_omp_stack()[:2]]
+    for phi, ys in stacks:
+        got = omp_recover_rows(ys, phi, params)
+        expected = _omp_formula_by_formula(ys, phi, params)
+        for v, ref in zip(got, expected):
+            assert v.dtype == ref.dtype
+            assert np.array_equal(v, ref)
 
 
 def test_omp_row_does_not_depend_on_its_stack():
@@ -268,6 +353,44 @@ def test_omp_column_in_the_span_of_its_support_ends_the_row():
     assert not converged.any()
     # the two atoms fit the part of each row the columns reach
     np.testing.assert_allclose(stacked @ entries.T, ys * [1.0, 1.0, 0.0], rtol=0, atol=1e-12)
+
+
+def _unreached_part_stack():
+    """A 12x40 matrix whose last row is zero and 20 rows of 1 to 3 spikes
+    plus 2 e_M, a part no column reaches; returns (phi, ys, the part the
+    columns reach, spikes per row)."""
+    entries = make_sensing_matrix(12, 40, seed=35).entries.copy()
+    entries[-1] = 0.0
+    phi = SensingMatrix(entries=entries, seed=35)
+    rng = np.random.default_rng(36)
+    reached, spikes = [], []
+    for r in range(20):
+        k = 1 + r % 3
+        x, _ = _spike_signal(40, k, rng, values=rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.5, 2.0, size=k))
+        reached.append(entries @ x)
+        spikes.append(k)
+    reached = np.array(reached)
+    return phi, reached + 2.0 * np.eye(12)[-1], reached, spikes
+
+
+def test_omp_row_stops_when_its_best_correlation_is_rounding_dust():
+    # a zero last row leaves e_M orthogonal to every column: once a row's
+    # fit reaches y - 2 e_M, its residual 2 e_M correlates with the
+    # remaining columns only through rounding, far below 1e-12 ||y||
+    # max_j ||phi_j||, and the row ends there instead of picking dust atoms
+    # up to the cap
+    phi, ys, reached, spikes = _unreached_part_stack()
+    entries = phi.entries
+    stacked, iterations, converged = omp_recover_rows(ys, phi, RecoveryParams(max_sparsity=6))
+    assert not converged.any()
+    # the atom count at which each row's fit first reaches y - 2 e_M
+    first = np.zeros(20, dtype=np.int64)
+    for cap in range(6, 0, -1):
+        fit = omp_recover_rows(ys, phi, RecoveryParams(max_sparsity=cap))[0] @ entries.T
+        first[np.max(np.abs(fit - reached), axis=1) <= 1e-12] = cap
+    assert (first[np.array(spikes) == 1] == 1).all()
+    assert np.count_nonzero(first) >= 12
+    assert np.array_equal(iterations[first > 0], first[first > 0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -498,6 +621,50 @@ def test_stack_norms_and_starting_lambda_match_per_row_forms(monkeypatch):
         assert np.array_equal(lams, [0.25 * float(np.max(np.abs(phi.entries.T @ ys[i]))) for i in live])
 
 
+def _scaled_norms(ys):
+    # every row times 2**-e, e the frexp exponent of its largest magnitude,
+    # then its dot, square root and scale back: exact power-of-two scales
+    e = np.frexp(np.max(np.abs(ys), axis=1))[1]
+    scaled = np.ldexp(ys, -e[:, None])
+    return np.ldexp(np.sqrt((scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0]), e)
+
+
+def test_stack_norms_are_the_scaled_norms():
+    # rows whose squares overflow (1e160), whose squares are subnormal
+    # (1.5e-155, 1e-160), whose sum of squares is exactly 0 (1e-170) and
+    # ordinary rows: the plain dot, taken where it is exact, and the scaled
+    # one give the same bits
+    rng = np.random.default_rng(46)
+    base = rng.normal(size=(8, 112))
+    with np.errstate(over="ignore"):
+        assert np.sum(np.square(1e160 * base[0])) == np.inf
+    assert 0.0 < np.sum(np.square(1e-160 * base[0])) < np.finfo(float).tiny
+    assert np.sum(np.square(1e-170 * base[0])) == 0.0
+    for scale in (1e160, 1e100, 1.0, 1e-3, 1e-100, 1.5e-155, 1e-160, 1e-170):
+        ys = scale * base
+        _, norms = _stack(ys, 112)
+        assert np.array_equal(norms, _scaled_norms(ys))
+        assert (norms > 0).all() & np.isfinite(norms).all()
+    mixed = base * np.array([1e160, 1.0, 1e-170, 0.0, 1.5e-155, 1e-3, 1e-160, 1e100])[:, None]
+    _, norms = _stack(mixed, 112)
+    assert norms[3] == 0.0
+    assert np.array_equal(norms, np.where(mixed.any(axis=1), _scaled_norms(mixed), 0.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solvers_reject_non_finite_rows(bad):
+    # the first non-finite row is named, whichever solver runs
+    phi = make_sensing_matrix(30, 100, seed=47)
+    ys = np.random.default_rng(48).normal(size=(5, 30))
+    ys[2, 7] = bad
+    ys[4, 0] = bad
+    for solve in (omp_recover_rows, bp_recover_rows):
+        with pytest.raises(ValueError, match="measurement row 2 is not finite"):
+            solve(ys, phi, RecoveryParams())
+    with pytest.raises(ValueError, match="measurement row 0 is not finite"):
+        omp_recover(ys[2], phi)
+
+
 def test_lasso_rejects_bad_arguments():
     rng = np.random.default_rng(45)
     a = rng.normal(size=(20, 50))
@@ -580,7 +747,7 @@ def _assert_commutes_with_scales(solve, params):
 
 
 def test_bp_commutes_with_scales_beyond_float32():
-    # row norms are taken of their rows scaled by a power of two, and the
+    # row norms are exact and finite at every finite scale, and the
     # float32 support search and the refits see each row scaled to a norm
     # in [0.5, 1), so rows whose entries, or their squares, leave float32 or
     # float64 recover the same signal, scaled
