@@ -14,15 +14,15 @@ Exit codes: 0 success, 1 any per-image failure, 2 configuration errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import logging
+import math
 import sys
 from pathlib import Path
 
 from .config import ConfigError, PipelineConfig, load_config
-from .core import fmt_float, save_detections_csv
-from .evaluation import aggregate_reports, write_evaluation_csv
+from .core import save_detections_csv, write_csv
+from .evaluation import write_evaluation_csv
 from .pipeline import (
     ensemble_detection,
     generate_dataset,
@@ -70,28 +70,23 @@ def _write_results(results, out: Path, macro: bool) -> tuple:
     for result in results:
         save_detections_csv(result["detections"], detections_dir / f"{result['id']}.csv")
         rows.append((result["id"], result["report"]))
-    write_evaluation_csv(rows, out / "evaluation.csv", macro=macro)
-    return aggregate_reports([r for _, r in rows], macro=macro)
+    return write_evaluation_csv(rows, out / "evaluation.csv", macro=macro)
 
 
 def _write_diagnostics(results, out: Path) -> None:
     diag_dir = out / "diagnostics"
     diag_dir.mkdir(parents=True, exist_ok=True)
+    header = ["offset", "patch_x", "patch_y", "axis", "x", "y", "magnitude",
+              "iterations", "converged"]
     for result in results:
-        with open(diag_dir / f"{result['id']}_candidates.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["offset", "patch_x", "patch_y", "axis", "x", "y", "magnitude",
-                 "iterations", "converged"]
-            )
-            for record in result["diagnostics"]:
-                columns = zip(record["votes"].tolist(), record["vote_axes"].tolist(),
-                              record["iterations"].tolist(), record["converged"].tolist())
-                for (x, y, magnitude), axis, iterations, converged in columns:
-                    writer.writerow(
-                        [record["offset"], *record["origin"], axis + 1, fmt_float(x),
-                         fmt_float(y), fmt_float(magnitude), iterations, int(converged)]
-                    )
+        rows = []
+        for record in result["diagnostics"]:
+            columns = zip(record["votes"].tolist(), record["vote_axes"].tolist(),
+                          record["iterations"].tolist(), record["converged"].tolist())
+            for (x, y, magnitude), axis, iterations, converged in columns:
+                rows.append([record["offset"], *record["origin"], axis + 1, x, y, magnitude,
+                             iterations, int(converged)])
+        write_csv(diag_dir / f"{result['id']}_candidates.csv", header, rows)
 
 
 def cmd_synth(args) -> int:
@@ -164,25 +159,29 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_ripcheck(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.sparsity is not None and args.sparsity < 1:
+        raise ConfigError(f"--sparsity must be >= 1, got {args.sparsity}")
+    if not (math.isfinite(args.delta_bound) and args.delta_bound > 0):
+        raise ConfigError(f"--delta-bound must be finite and > 0, got {args.delta_bound}")
     config = _load(args)
     codec = make_codec(config)
-    sparsity = args.sparsity or default_max_sparsity(codec.phi.rows, codec.phi.cols)
+    sparsity = args.sparsity
+    if sparsity is None:
+        sparsity = default_max_sparsity(codec.phi.rows, codec.phi.cols)
     report = empirical_rip_check(
         codec.phi, sparsity, args.trials, seed=config.run.seed, delta_bound=args.delta_bound
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "rip_report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["rows", "cols", "sparsity_tested", "trials", "delta_observed",
-             "delta_bound", "violation_count"]
-        )
-        writer.writerow(
-            [codec.phi.rows, codec.phi.cols, report.sparsity_tested, report.trials,
-             fmt_float(report.delta_observed), fmt_float(report.delta_bound),
-             report.violation_count]
-        )
+    write_csv(
+        out / "rip_report.csv",
+        ["rows", "cols", "sparsity_tested", "trials", "delta_observed", "delta_bound",
+         "violation_count"],
+        [[codec.phi.rows, codec.phi.cols, report.sparsity_tested, report.trials,
+          report.delta_observed, report.delta_bound, report.violation_count]],
+    )
     print(
         f"delta_observed {report.delta_observed:.4f} over {report.trials} trials, "
         f"{report.violation_count} above {report.delta_bound}"

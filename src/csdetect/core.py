@@ -23,17 +23,13 @@ __all__ = [
     "save_annotations_csv",
     "load_annotations_csv",
     "save_detections_csv",
+    "write_csv",
 ]
 
 
 def round_half_up(value: float) -> int:
     """Round to the nearest integer with halves going up (3.5 -> 4)."""
     return int(math.floor(value + 0.5))
-
-
-def fmt_float(value) -> str:
-    """Shortest round-trip decimal form, used by every text serializer."""
-    return repr(float(value))
 
 
 @dataclass(frozen=True)
@@ -104,13 +100,23 @@ class AnnotationSet:
         return np.asarray(self.cells, dtype=np.float64)
 
 
-def save_annotations_csv(annotations: AnnotationSet, path) -> None:
-    """Write one centroid per row under an `x,y` header."""
+def write_csv(path, header, rows) -> None:
+    r"""Write `header` and then `rows` as CSV with "\n" line ends.
+
+    Every table csdetect writes goes through here. Cells are str, int or
+    float64: csv writes a float as its `str`, the shortest round-trip form.
+    A bool cell would read `True`, and a float32 cell its float32 short form
+    (0.1, not 0.10000000149011612), so callers pass `int(flag)` and float64.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y"])
-        for x, y in annotations.cells:
-            writer.writerow([fmt_float(x), fmt_float(y)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_annotations_csv(annotations: AnnotationSet, path) -> None:
+    """Write one centroid per row under an `x,y` header."""
+    write_csv(path, ["x", "y"], annotations.cells)
 
 
 def load_annotations_csv(path, grid: ImageGrid) -> AnnotationSet:
@@ -164,8 +170,5 @@ class DetectionResult:
 
 def save_detections_csv(result: DetectionResult, path) -> None:
     """Write detections as `x,y,support` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "support"])
-        for x, y, support in result.points.tolist():
-            writer.writerow([fmt_float(x), fmt_float(y), int(support)])
+    rows = [(x, y, int(support)) for x, y, support in result.points.tolist()]
+    write_csv(path, ["x", "y", "support"], rows)

@@ -27,9 +27,10 @@ import numpy as np
 from .core import DetectionResult, ImageGrid
 from .encoder import AxisLayout
 from .recovery import RecoveryParams, recover_rows
-# unused here; perfbench/tracing.py wraps these names on this module
-from .recovery import bp_recover, omp_recover, operator_norm_sq  # noqa: F401
 from .sensing import SensingMatrix
+# unused here; perfbench/tracing.py wraps these names on this module
+from .recovery import bp_recover, omp_recover  # noqa: F401
+from .sensing import operator_norm_sq  # noqa: F401
 
 __all__ = [
     "DecodeParams",

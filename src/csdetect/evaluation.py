@@ -9,12 +9,11 @@ predictions are false positives, leftover truths false negatives.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AnnotationSet, DetectionResult, fmt_float
+from .core import AnnotationSet, DetectionResult, write_csv
 
 __all__ = [
     "MatchReport",
@@ -105,29 +104,20 @@ def aggregate_reports(reports, macro: bool = False) -> tuple:
     return prf1(total)
 
 
-def write_evaluation_csv(rows, path, macro: bool = False) -> None:
+def write_evaluation_csv(rows, path, macro: bool = False) -> tuple:
     """Per-image metric rows plus a trailing aggregate row.
 
-    `rows` is a list of (image id, MatchReport).
+    `rows` is a list of (image id, MatchReport). Returns the aggregate
+    (precision, recall, F1), the last row's rates.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["image", "tp", "fp", "fn", "precision", "recall", "f1"])
-        for image_id, report in rows:
-            p, r, f = prf1(report)
-            writer.writerow(
-                [image_id, report.tp, report.fp, report.fn, fmt_float(p), fmt_float(r), fmt_float(f)]
-            )
-        reports = [report for _, report in rows]
-        p, r, f = aggregate_reports(reports, macro=macro)
-        writer.writerow(
-            [
-                "aggregate",
-                sum(rep.tp for rep in reports),
-                sum(rep.fp for rep in reports),
-                sum(rep.fn for rep in reports),
-                fmt_float(p),
-                fmt_float(r),
-                fmt_float(f),
-            ]
-        )
+    table = [
+        (image_id, report.tp, report.fp, report.fn, *prf1(report)) for image_id, report in rows
+    ]
+    reports = [report for _, report in rows]
+    aggregate = aggregate_reports(reports, macro=macro)
+    tp = sum(report.tp for report in reports)
+    fp = sum(report.fp for report in reports)
+    fn = sum(report.fn for report in reports)
+    table.append(("aggregate", tp, fp, fn, *aggregate))
+    write_csv(path, ["image", "tp", "fp", "fn", "precision", "recall", "f1"], table)
+    return aggregate

@@ -18,14 +18,13 @@ PredictorParams is the `predictor:` config section.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import fmt_float
+from .core import write_csv
 
 __all__ = [
     "PredictorParams",
@@ -344,8 +343,4 @@ def load_model(path) -> RegressorModel:
 
 
 def save_training_log(losses, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(losses, start=1):
-            writer.writerow([epoch, fmt_float(loss)])
+    write_csv(path, ["epoch", "loss"], enumerate(losses, start=1))

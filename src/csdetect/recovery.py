@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensing import DEFAULT_ROW_CONSTANT, SensingMatrix, operator_norm_sq
+from .sensing import DEFAULT_ROW_CONSTANT, SensingMatrix
 
 __all__ = [
     "RecoveryParams",
@@ -63,7 +63,6 @@ __all__ = [
     "bp_recover",
     "bp_recover_rows",
     "lasso_shrinkage",
-    "operator_norm_sq",
 ]
 
 # relative floor standing in for the equality constraint when noise_budget_frac=0

@@ -590,6 +590,25 @@ def test_cli_ripcheck(workspace, tmp_path, capsys):
     assert row[0] == "12" and row[3] == "40"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--trials", "0"),
+    ("--trials", "-5"),
+    ("--sparsity", "0"),
+    ("--delta-bound", "nan"),
+    ("--delta-bound", "-1"),
+    ("--delta-bound", "0"),
+    ("--delta-bound", "inf"),
+])
+def test_cli_ripcheck_rejects_a_meaningless_argument(workspace, tmp_path, capsys, flag, value):
+    out = tmp_path / "rip"
+    assert entry(["ripcheck", "--config", workspace["config"], "--out", str(out),
+                  flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} must be")
+    assert "Traceback" not in err
+    assert not (out / "rip_report.csv").exists()
+
+
 def test_cli_exit_codes(workspace, tmp_path, capsys):
     bad_cfg = _write_config(tmp_path / "bad.yaml", {"encoder": {"rows": 9}})
     assert entry(["run", "--config", bad_cfg, "--manifest", workspace["manifest"],

@@ -13,6 +13,7 @@ from csdetect.core import (
     round_half_up,
     save_annotations_csv,
     save_detections_csv,
+    write_csv,
 )
 
 
@@ -145,3 +146,16 @@ def test_detections_csv_round_trip(tmp_path):
     rows = [line.split(",") for line in text.splitlines()[1:]]
     parsed = DetectionResult(points=[(float(x), float(y), int(s)) for x, y, s in rows])
     assert np.array_equal(parsed.points, result.points)
+
+
+def test_write_csv_writes_floats_in_their_shortest_round_trip_form(tmp_path):
+    values = [0.1, 1 / 3, 1e-20, 1e16, 5e-324, -0.0]
+    rows = [["py", 7, *values], ["np", -2, *map(np.float64, values)]]
+    path = tmp_path / "table.csv"
+    write_csv(path, ["kind", "n", "a", "b", "c", "d", "e", "f"], rows)
+    floats = "0.1,0.3333333333333333,1e-20,1e+16,5e-324,-0.0"
+    assert path.read_bytes() == (
+        f"kind,n,a,b,c,d,e,f\npy,7,{floats}\nnp,-2,{floats}\n".encode()
+    )
+    for line in path.read_text().splitlines()[1:]:
+        assert [float(cell) for cell in line.split(",")[2:]] == values

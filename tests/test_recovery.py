@@ -18,9 +18,8 @@ from csdetect.recovery import (
     lasso_shrinkage,
     omp_recover,
     omp_recover_rows,
-    operator_norm_sq,
 )
-from csdetect.sensing import SensingMatrix, make_sensing_matrix
+from csdetect.sensing import SensingMatrix, make_sensing_matrix, operator_norm_sq
 
 
 def _spike_signal(n, k, rng, values=None):
